@@ -131,11 +131,16 @@ def cmd_sweep(config: RunConfig) -> int:
             handle.write(",".join(_fmt(value) for value in row) + "\n")
 
     def dot(record, value_field):
-        return {
+        value = getattr(record, value_field)
+        entry = {
             "angle_rad": record.angle,
             "direction": [float(c) for c in record.direction.components],
-            value_field: getattr(record, value_field),
+            value_field: value if math.isfinite(value) else None,
         }
+        if not math.isfinite(value):
+            # The potential underflowed: strict JSON has no infinity.
+            entry["separable"] = True
+        return entry
 
     at_hinge = select_best(records, "hinge", minimize=True)
     at_entropy = select_best(records, "h2x", minimize=False)

@@ -4,12 +4,37 @@ A ``Kde1d`` places one Gaussian kernel of a common bandwidth on every center
 with uniform weight 1/N, so the density integrates to 1 analytically. Products
 of two such mixtures integrate in closed form, which is what the objective
 stack builds on: no quadrature is involved in ``cross_integral``.
+
+The O(N^2) layers have two evaluators. The direct one sums every kernel
+pair, or every kernel at every grid node, that lies within ``_CUTOFF_STDS``
+standard deviations. The binned one serves wide kernels (Greengard & Strain
+1991, the fast Gauss transform; Wand 1994, binned KDE): it assigns every
+center to the nearest node of a uniform lattice, carries per-node Taylor
+moments of the offsets from those nodes, and contracts them with the Gaussian
+and its derivatives at the node distances. Its error is absolute, so it is
+kept only where it is far below the result:
+
+- Pair sums (``cross_integral``, ``self_integral``) use bins of a quarter of
+  the pair kernel's standard deviation and 16 terms, when the centers span at
+  most 64 standard deviations and the direct sum would compute more than
+  2^17 + 8 * bins^2 pairs. The result is kept only when it is at least
+  1e-4 per pair, which holds its absolute error of about 1e-16 per pair to
+  1e-12 relative. Narrow kernels, small inputs and tiny or separable sums take
+  the direct path and return its value bit for bit.
+- ``binned_density_on_grid`` evaluates a density on a ``np.linspace`` grid by
+  FFT convolution when the grid step is small against the bandwidth (at most
+  12 terms reach a remainder of 1e-17 of a kernel's peak). Its error is about
+  1e-16 of the peak density at every node.
+
+``kde_eval`` and ``eval_on_sorted_grid`` are always direct: threshold
+extraction needs the sign of a density difference in the tails.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import AffineMap1d
 
@@ -30,6 +55,40 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _CUTOFF_STDS = 10.0
 
 _CHUNK = 128
+
+# Binned pair sums. Bins of a quarter standard deviation keep every center
+# within 1/8 of its bin node, so a pair's offset from its bin distance is at
+# most 1/4; with Cramer's bound |h_n| <= 1.09 sqrt(n!), the terms from 16 on
+# add at most 6e-17 per pair.
+_PAIR_BINS_PER_STD = 4
+_PAIR_TERMS = 16
+# Wider spans take the direct sum: the binned cost grows with the bins squared.
+_PAIR_MAX_SPAN_STDS = 64.0
+# Cost model, measured on a 2-vCPU x86 host: the direct sum takes about
+# 2.5 ns per pair within its reach, the binned one about 0.3 ms plus 20 ns
+# per pair of bins. The binned sum runs when the direct one would compute
+# more than _PAIR_MIN_PAIRS + 8 * bins^2 pairs.
+_PAIR_MIN_PAIRS = 1 << 17
+# A binned sum below this share of N_a * N_b falls back to the direct sum: its
+# absolute error would no longer be 1e-12 relative.
+_PAIR_MIN_SHARE = 1e-4
+# Terms per Toeplitz product: bounds the copied stack at 4 * bins^2 doubles.
+_PAIR_BLOCK = 4
+# _PAIR_SHIFT[n, q] = n - q for q <= n, else the index of an all-zero row.
+_PAIR_SHIFT = np.fromfunction(
+    lambda n, q: np.where(q <= n, n - q, _PAIR_TERMS),
+    (_PAIR_TERMS, _PAIR_TERMS),
+    dtype=int,
+)
+
+# Binned grid densities: the first omitted Taylor term stays below this share
+# of a kernel's peak, with at most _GRID_MAX_TERMS terms; beyond that the grid
+# step is too coarse for the expansion and the direct evaluator is used.
+_GRID_REMAINDER = 1e-17
+_GRID_MAX_TERMS = 12
+# Below this many kernel evaluations (centers times grid nodes within reach)
+# the direct evaluator is the cheaper one.
+_GRID_MIN_EVALS = 1 << 18
 
 
 class DegenerateBandwidthError(ValueError):
@@ -58,13 +117,6 @@ class Kde1d:
     @property
     def n_centers(self) -> int:
         return self.centers.size
-
-    def support_window(self, stds: float = 8.0) -> tuple[float, float]:
-        """Interval covering the centers padded by ``stds`` bandwidths."""
-        return (
-            float(self.centers.min()) - stds * self.bandwidth,
-            float(self.centers.max()) + stds * self.bandwidth,
-        )
 
 
 def silverman_bandwidth(samples) -> float:
@@ -135,6 +187,72 @@ def eval_on_sorted_grid(f: Kde1d, grid: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+def _grid_terms(ratio: float) -> int | None:
+    """Taylor terms for a grid of step ``ratio`` bandwidths: the smallest q
+    whose term, max_u exp(-u^2/2) u^q / q! * (ratio/2)^q, is below
+    _GRID_REMAINDER; None when more than _GRID_MAX_TERMS would be needed."""
+    for q in range(1, _GRID_MAX_TERMS + 1):
+        peak = (q / math.e) ** (q / 2) / math.factorial(q)
+        if peak * (ratio / 2) ** q <= _GRID_REMAINDER:
+            return q
+    return None
+
+
+def binned_density_on_grid(f: Kde1d, grid: np.ndarray) -> np.ndarray | None:
+    """Density values on ``grid = np.linspace(lo, hi, n)`` by the binned
+    expansion, or None where the direct ``eval_on_sorted_grid`` must be used:
+    the grid step is too coarse for the bandwidth, the problem is too small
+    to pay for the transform, or a center lies outside the grid."""
+    ratio = (grid[-1] - grid[0]) / (grid.size - 1) / f.bandwidth
+    if not ratio > 0:  # an empty or descending window
+        return None
+    terms = _grid_terms(ratio)
+    reach = min(grid.size, 2.0 * _CUTOFF_STDS / ratio)
+    if terms is None or f.centers.size * reach < _GRID_MIN_EVALS:
+        return None
+    return _binned_density(f, grid, terms)
+
+
+def _binned_density(f: Kde1d, grid: np.ndarray, terms: int) -> np.ndarray | None:
+    """Density on a linspace grid from ``terms`` Taylor moments per node and
+    one FFT convolution per moment; None when a center lies outside the grid.
+
+    Each center is assigned to its nearest node k, at an offset v from the
+    node in bandwidths. With u the node distance g - k in bandwidths,
+
+        exp(-(u - v)^2 / 2) = sum_q [u^q exp(-u^2/2) / q!] [v^q exp(-v^2/2)],
+
+    so the density is a sum over q of per-node moments convolved with fixed
+    kernels. The nodes are taken as exactly uniform, which np.linspace's
+    nodes are up to their own rounding.
+    """
+    n = grid.size
+    step = (grid[-1] - grid[0]) / (n - 1)
+    nodes = np.rint((f.centers - grid[0]) / step).astype(np.intp)
+    if nodes.min() < 0 or nodes.max() >= n:
+        return None
+    offsets = (f.centers - grid[nodes]) / f.bandwidth
+    weights = np.exp(-0.5 * offsets * offsets)
+    u = np.arange(1 - n, n) * (step / f.bandwidth)
+    kernel = np.exp(-0.5 * u * u)
+    kernel[np.abs(u) > _CUTOFF_STDS + 1.0] = 0.0
+    # Kernel of node distance j at index j mod size; size >= 2n - 1 keeps the
+    # circular convolution free of wrap-around on the n output nodes.
+    size = 2 * n
+    wrapped = np.zeros(size)
+    spectrum = 0.0
+    for q in range(terms):
+        wrapped[:n] = kernel[n - 1 :]
+        wrapped[size - n + 1 :] = kernel[: n - 1]
+        moments = np.bincount(nodes, weights=weights, minlength=n)
+        spectrum = spectrum + np.fft.rfft(moments, size) * np.fft.rfft(wrapped)
+        weights *= offsets
+        kernel = kernel * u / (q + 1)
+    density = np.fft.irfft(spectrum, size)[:n]
+    density /= f.centers.size * f.bandwidth * _SQRT_2PI
+    return density
+
+
 def _min_pair_distance(a_sorted: np.ndarray, b_sorted: np.ndarray) -> float:
     """Smallest |a_i - b_j| between two ascending arrays."""
     pos = np.searchsorted(a_sorted, b_sorted)
@@ -148,17 +266,22 @@ def _min_pair_distance(a_sorted: np.ndarray, b_sorted: np.ndarray) -> float:
     return max(best, 0.0)
 
 
-def _gauss_pair_sum(a: np.ndarray, b: np.ndarray, var_sum: float) -> float:
-    """sum_ij exp(-(a_i - b_j)^2 / (2 var_sum)), truncating pairs whose
-    contribution is below 1e-15 of the dominant term.
+def min_density_bound(f: Kde1d, g: Kde1d) -> float:
+    """Upper bound on min(f(x), g(x)) over all x.
 
-    The arguments are put into a canonical order first, so the summation
-    grouping (and hence the rounding) is identical under argument swap and
-    the result is exactly symmetric."""
-    a = np.sort(a)
-    b = np.sort(b)
-    if (a.size, a.tobytes()) > (b.size, b.tobytes()):
-        a, b = b, a
+    Every x lies at least half the smallest center distance d between the two
+    mixtures away from all centers of one of them, and a mixture is at most
+    its kernel's value at that distance there."""
+    half = 0.5 * _min_pair_distance(np.sort(f.centers), np.sort(g.centers))
+    return max(
+        math.exp(-0.5 * (half / h.bandwidth) ** 2) / (h.bandwidth * _SQRT_2PI)
+        for h in (f, g)
+    )
+
+
+def _direct_pair_sum(a: np.ndarray, b: np.ndarray, var_sum: float) -> float:
+    """sum_ij exp(-(a_i - b_j)^2 / (2 var_sum)) over ascending arrays,
+    truncating pairs whose contribution is below 1e-15 of the dominant term."""
     s = math.sqrt(var_sum)
     reach = _min_pair_distance(a, b) + _CUTOFF_STDS * s
     inv2s2 = 0.5 / var_sum
@@ -177,6 +300,107 @@ def _gauss_pair_sum(a: np.ndarray, b: np.ndarray, var_sum: float) -> float:
         np.exp(w, out=w)
         total += float(w.sum())
     return total
+
+
+def _gaussian_derivatives(x: np.ndarray, terms: int) -> np.ndarray:
+    """h_n(x) = d^n/dx^n exp(-x^2/2) = (-1)^n He_n(x) exp(-x^2/2) for
+    n < terms, zero beyond one standard deviation past the truncation reach."""
+    h = np.zeros((terms, x.size))
+    h[0] = np.exp(-0.5 * x * x)
+    h[0, np.abs(x) > _CUTOFF_STDS + 1.0] = 0.0
+    h[1] = -x * h[0]
+    for n in range(1, terms - 1):
+        h[n + 1] = -x * h[n] - n * h[n - 1]
+    return h
+
+
+def _bin_moments(bins: np.ndarray, offsets: np.ndarray, n_bins: int) -> np.ndarray:
+    """Per-bin sums of offset^m / m! for m < _PAIR_TERMS, shape (terms, bins)."""
+    moments = np.empty((_PAIR_TERMS, n_bins))
+    power = np.ones_like(offsets)
+    for m in range(_PAIR_TERMS):
+        moments[m] = np.bincount(bins, weights=power, minlength=n_bins)
+        power *= offsets / (m + 1)
+    return moments
+
+
+def _hermite_pair_sum(a: np.ndarray, b: np.ndarray, var_sum: float) -> float:
+    """The pair sum of ascending ``a`` and ``b`` by binned Taylor expansion.
+
+    In units of s = sqrt(var_sum) every center sits at its bin node k/4 plus
+    an offset of at most 1/8. A pair at bin distance D = (k - l)/4 with
+    offset t = alpha - beta contributes
+
+        exp(-(D + t)^2 / 2) = sum_n h_n(D) t^n / n!
+                            = sum_{m, q} h_{m+q}(D) alpha^m/m! (-beta)^q/q!,
+
+    so per-bin moments of the offsets, contracted with the Gaussian
+    derivatives h_n at every bin distance, give the sum. The cost is
+    terms^2 * bins^2 instead of N_a * N_b.
+    """
+    scale = math.sqrt(var_sum)
+    origin = min(a[0], b[0])
+    ua = (a - origin) / scale
+    bins_a = np.rint(ua * _PAIR_BINS_PER_STD).astype(np.intp)
+    ub = ua if b is a else (b - origin) / scale
+    bins_b = bins_a if b is a else np.rint(ub * _PAIR_BINS_PER_STD).astype(np.intp)
+    n_bins = int(max(bins_a[-1], bins_b[-1])) + 1
+    moments_a = _bin_moments(bins_a, ua - bins_a / _PAIR_BINS_PER_STD, n_bins)
+    if b is a:
+        # Equal offsets: the moments of -beta are those of alpha with the odd
+        # ones negated.
+        moments_b = moments_a * (-1.0) ** np.arange(_PAIR_TERMS)[:, None]
+    else:
+        moments_b = _bin_moments(bins_b, bins_b / _PAIR_BINS_PER_STD - ub, n_bins)
+    distances = np.arange(1 - n_bins, n_bins) / _PAIR_BINS_PER_STD
+    h = _gaussian_derivatives(distances, _PAIR_TERMS)
+    # toeplitz[n, k, j] = h[n, k + j] = h_n((k - l) / 4) with l = n_bins - 1 - j.
+    toeplitz = sliding_window_view(h, n_bins, axis=1)
+    reversed_b = np.ascontiguousarray(moments_b[:, ::-1].T)
+    # shifted[n, q, k] = moments_a[n - q, k], zero for q > n
+    shifted = np.vstack([moments_a, np.zeros(n_bins)])[_PAIR_SHIFT]
+    total = 0.0
+    for n0 in range(0, _PAIR_TERMS, _PAIR_BLOCK):
+        block = slice(n0, n0 + _PAIR_BLOCK)
+        # contracted[n, k, q] = sum_l h_n((k - l) / 4) * moments_b[q, l]
+        contracted = np.ascontiguousarray(toeplitz[block]) @ reversed_b
+        total += float(np.einsum("nqk,nkq->", shifted[block], contracted))
+    return total
+
+
+def _canonical_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both arrays sorted, the smaller (by size, then bytes) first; a self
+    pair (``b is a``) stays one array."""
+    same = b is a
+    a = np.sort(a)
+    b = a if same else np.sort(b)
+    if (a.size, a.tobytes()) > (b.size, b.tobytes()):
+        a, b = b, a
+    return a, b
+
+
+def _gauss_pair_sum(a: np.ndarray, b: np.ndarray, var_sum: float) -> float:
+    """sum_ij exp(-(a_i - b_j)^2 / (2 var_sum)).
+
+    The arguments are put into a canonical order first, so the evaluation
+    (and hence the rounding) is identical under argument swap and the result
+    is exactly symmetric. The binned expansion runs when the centers span at
+    most 64 standard deviations of the pair kernel and the direct sum would
+    cost more; its result is kept when it is at least 1e-4 per pair.
+    Otherwise the truncated direct sum runs."""
+    a, b = _canonical_pair(a, b)
+    span_stds = (max(a[-1], b[-1]) - min(a[0], b[0])) / math.sqrt(var_sum)
+    # Pairs the direct sum computes if the centers are spread evenly.
+    direct_pairs = a.size * b.size * min(1.0, 2.0 * _CUTOFF_STDS / max(span_stds, 1.0))
+    n_bins = span_stds * _PAIR_BINS_PER_STD + 1.0
+    if (
+        span_stds < _PAIR_MAX_SPAN_STDS
+        and direct_pairs >= _PAIR_MIN_PAIRS + 8.0 * n_bins * n_bins
+    ):
+        total = _hermite_pair_sum(a, b, var_sum)
+        if total >= _PAIR_MIN_SHARE * a.size * b.size:
+            return total
+    return _direct_pair_sum(a, b, var_sum)
 
 
 def cross_integral(f: Kde1d, g: Kde1d) -> float:

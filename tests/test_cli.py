@@ -69,6 +69,30 @@ class TestSweepCommand:
         best = int(np.argmax(h2xs))
         assert sidecar["max_h2x"]["angle_rad"] == pytest.approx(angles[best], rel=1e-10)
 
+    def test_sidecar_is_strict_json_when_potential_underflows(self, tmp_path):
+        # Two clouds 5 apart with spread 0.1 and --sigma 0.01: the CIP is 0.0
+        # at every angle, so the best h2x is infinite.
+        rng = np.random.default_rng(0)
+        minus = rng.normal(size=(50, 2)) * 0.1
+        plus = rng.normal(size=(50, 2)) * 0.1 + [5.0, 0.0]
+        data = tmp_path / "clouds.csv"
+        data.write_text(
+            "".join(f"{x},{y},-1\n" for x, y in minus)
+            + "".join(f"{x},{y},1\n" for x, y in plus)
+        )
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--data", data, "--out", out, "--sigma", "0.01",
+                    "--angles", "12"]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        sidecar = json.loads((tmp_path / "sweep.json").read_text(),
+                             parse_constant=refuse)
+        assert sidecar["max_h2x"]["h2x"] is None
+        assert sidecar["max_h2x"]["separable"] is True
+        assert sidecar["min_cip"]["cip"] == 0.0
+
     def test_reruns_identical(self, tmp_path, two_gauss_csv):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

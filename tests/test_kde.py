@@ -2,14 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import trapezoid_product_integral
+from melc import kde
 from melc.geometry import AffineMap1d
 from melc.kde import (
     DegenerateBandwidthError,
     Kde1d,
+    binned_density_on_grid,
     cross_integral,
+    eval_on_sorted_grid,
     kde_eval,
+    min_density_bound,
     rescale_kde,
     self_integral,
     silverman_bandwidth,
@@ -186,3 +192,200 @@ class TestKde1dValidation:
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(ValueError):
             Kde1d([0.0], 0.0)
+
+
+def _layout(rng, kind, size, width, loc):
+    if kind == "all-equal":
+        return np.full(size, loc + width * rng.uniform())
+    centers = loc + width * rng.uniform(size=size)
+    if kind == "duplicated":
+        centers = rng.choice(centers[: max(1, size // 8)], size=size)
+    return centers
+
+
+@st.composite
+def pair_sum_inputs(draw):
+    """Two center sets and the summed variance of their kernels. The sets
+    span up to 80 standard deviations of the pair kernel, on both sides of
+    the 64 the binned sum accepts."""
+    n_a = draw(st.integers(1, 3000))
+    n_b = draw(st.integers(1, 3000))
+    sigma_a = draw(st.floats(0.05, 1.0))
+    sigma_b = draw(st.floats(0.05, 1.0))
+    span_stds = draw(st.floats(0.0, 80.0))
+    shift = draw(st.floats(-0.5, 0.5))
+    loc = draw(st.floats(-10.0, 10.0))
+    kind_a = draw(st.sampled_from(["spread", "duplicated", "all-equal"]))
+    kind_b = draw(st.sampled_from(["spread", "duplicated", "all-equal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    var_sum = sigma_a**2 + sigma_b**2
+    width = span_stds * math.sqrt(var_sum)
+    a = _layout(rng, kind_a, n_a, width, loc)
+    b = _layout(rng, kind_b, n_b, width * (1.0 - abs(shift)), loc + shift * width)
+    return a, b, var_sum
+
+
+class TestBinnedPairSum:
+    """The binned Hermite pair sum against the direct sum as the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair_sum_inputs())
+    def test_matches_direct_and_dispatches(self, inputs):
+        a, b, var_sum = inputs
+        sa, sb = kde._canonical_pair(a, b)
+        direct = kde._direct_pair_sum(sa, sb, var_sum)
+        binned = kde._hermite_pair_sum(sa, sb, var_sum)
+        # About 1e-16 absolute per pair, so 1e-13 relative on accepted sums.
+        floor = kde._PAIR_MIN_SHARE * a.size * b.size
+        assert abs(binned - direct) <= 1e-13 * max(direct, floor)
+
+        # The dispatch returns the direct bits, or a binned sum it may accept.
+        got = kde._gauss_pair_sum(a, b, var_sum)
+        if got != direct:
+            span = max(sa[-1], sb[-1]) - min(sa[0], sb[0])
+            assert got == binned
+            assert binned >= floor
+            assert span < kde._PAIR_MAX_SPAN_STDS * math.sqrt(var_sum)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 3000), st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
+    def test_self_pair_matches_direct(self, size, sigma, seed):
+        centers = np.sort(np.random.default_rng(seed).normal(size=size))
+        var_sum = 2.0 * sigma * sigma
+        direct = kde._direct_pair_sum(centers, centers, var_sum)
+        assert kde._hermite_pair_sum(centers, centers, var_sum) == pytest.approx(
+            direct, rel=1e-13
+        )
+        assert kde._hermite_pair_sum(
+            centers, centers.copy(), var_sum
+        ) == pytest.approx(direct, rel=1e-13)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(300, 1500),
+        st.integers(300, 1500),
+        st.floats(0.0, 3.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_swap_symmetry_exact(self, n_f, n_g, distance, seed):
+        rng = np.random.default_rng(seed)
+        minus = rng.normal(size=n_f)
+        plus = rng.normal(loc=distance, size=n_g)
+        f = Kde1d(minus, silverman_bandwidth(minus))
+        g = Kde1d(plus, silverman_bandwidth(plus))
+        assert cross_integral(f, g) == cross_integral(g, f)
+
+    def test_binned_at_silverman_bandwidths(self, rng):
+        minus = rng.normal(size=1000)
+        plus = rng.normal(loc=1.0, size=1000)
+        sigma = silverman_bandwidth(minus)
+        var_sum = 2.0 * sigma * sigma
+        a, b = kde._canonical_pair(minus, plus)
+        binned = kde._hermite_pair_sum(a, b, var_sum)
+        assert kde._gauss_pair_sum(minus, plus, var_sum) == binned
+        assert binned != kde._direct_pair_sum(a, b, var_sum)
+
+    @pytest.mark.parametrize(
+        "case", ["narrow-kernel", "separable", "few-pairs", "wide-span"]
+    )
+    def test_direct_bits_outside_binned_regime(self, case, rng):
+        minus = rng.normal(size=1000)
+        plus = rng.normal(loc=1.0, size=1000)
+        sigma = silverman_bandwidth(minus)
+        if case == "narrow-kernel":
+            sigma = 1e-3
+        elif case == "separable":
+            plus = plus + 11.0
+        elif case == "few-pairs":
+            minus, plus = minus[:300], plus[:300]
+        elif case == "wide-span":
+            plus = np.concatenate([plus, [40.0]])
+        var_sum = 2.0 * sigma * sigma
+        a, b = kde._canonical_pair(minus, plus)
+        direct = kde._direct_pair_sum(a, b, var_sum)
+        if case == "separable":
+            assert kde._hermite_pair_sum(a, b, var_sum) < kde._PAIR_MIN_SHARE * a.size * b.size
+        assert kde._gauss_pair_sum(minus, plus, var_sum) == direct
+        assert kde._gauss_pair_sum(plus, minus, var_sum) == direct
+
+
+def _exact_density(f, grid):
+    """The direct sum in extended precision, as a reference for the rounding
+    of both evaluators."""
+    centers = f.centers.astype(np.longdouble)
+    nodes = grid.astype(np.longdouble)
+    sigma = np.longdouble(f.bandwidth)
+    out = np.zeros(grid.size, dtype=np.longdouble)
+    for i0 in range(0, centers.size, 256):
+        z = (centers[i0 : i0 + 256, None] - nodes[None, :]) / sigma
+        out += np.exp(-0.5 * z * z).sum(axis=0)
+    return out / (centers.size * sigma * np.sqrt(2.0 * np.pi, dtype=np.longdouble))
+
+
+class TestBinnedGridDensity:
+    """The binned FFT density against the direct evaluator as the oracle."""
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+        reason="needs an extended-precision long double",
+    )
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(1, 1500),
+        st.floats(0.3, 3.0),
+        st.floats(-2.0, 2.0),
+        st.floats(1.0 / 48.0, 2.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_direct_on_exact_lattice(self, size, spread, loc, sigma, seed):
+        # Nodes -8 + g/256 are exact in float64, so both evaluators see the
+        # same uniform lattice and only their rounding differs.
+        grid = np.linspace(-8.0, -8.0 + 4095.0 / 256.0, 4096)
+        centers = np.clip(
+            np.random.default_rng(seed).normal(loc, spread, size=size), -7.0, 7.0
+        )
+        f = Kde1d(centers, sigma)
+        terms = kde._grid_terms(1.0 / 256.0 / sigma)
+        binned = kde._binned_density(f, grid, terms)
+        direct = eval_on_sorted_grid(f, grid)
+        exact = _exact_density(f, grid)
+        peak = float(exact.max())
+        direct_rounding = float(np.max(np.abs(direct - exact)))
+        assert float(np.max(np.abs(binned - exact))) <= 1e-15 * peak
+        assert np.max(np.abs(binned - direct)) <= 1e-15 * peak + direct_rounding
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 200),
+        st.integers(1, 200),
+        st.floats(0.0, 6.0),
+        st.floats(0.02, 1.0),
+        st.floats(0.02, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_min_density_bound_holds(self, n_f, n_g, distance, s_f, s_g, seed):
+        rng = np.random.default_rng(seed)
+        f = Kde1d(rng.normal(size=n_f), s_f)
+        g = Kde1d(rng.normal(loc=distance, size=n_g), s_g)
+        x = np.linspace(-8.0, distance + 8.0, 20001)
+        lowest = np.minimum(kde_eval(f, x), kde_eval(g, x))
+        assert lowest.max() <= min_density_bound(f, g) * (1 + 1e-12)
+
+    def test_terms_grow_with_step(self):
+        terms = [kde._grid_terms(ratio) for ratio in (0.005, 0.02, 0.1, 0.19)]
+        assert terms == sorted(terms)
+        assert kde._grid_terms(0.5) is None
+
+    def test_direct_only_outside_binned_regime(self, rng):
+        centers = rng.normal(size=2000)
+        grid = np.linspace(-6.0, 6.0, 4096)
+        assert binned_density_on_grid(Kde1d(centers, 0.3), grid) is not None
+        # Kernel narrower than a few grid steps.
+        assert binned_density_on_grid(Kde1d(centers, 0.01), grid) is None
+        # Too few kernel evaluations to pay for the transform.
+        assert binned_density_on_grid(Kde1d(centers[:20], 0.3), grid) is None
+        # A center outside the grid.
+        outside = np.concatenate([centers, [9.0]])
+        assert binned_density_on_grid(Kde1d(outside, 0.3), grid) is None
+        # A descending window.
+        assert binned_density_on_grid(Kde1d(centers, 0.3), grid[::-1]) is None

@@ -2,11 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from melc import risk
 from melc.geometry import LabeledDataset, UnitDirection
-from melc.kde import Kde1d, kde_eval
-from melc.objectives import ProjectedPair, rescaled_pair
+from melc.kde import (
+    Kde1d,
+    binned_density_on_grid,
+    eval_on_sorted_grid,
+    kde_eval,
+    min_density_bound,
+)
+from melc.objectives import ProjectedPair, projected_pair, rescaled_pair
 from melc.risk import (
+    DEFAULT_GRID_POINTS,
     BoundCheck,
     MultithresholdModel,
     RiskEstimate,
@@ -389,3 +399,69 @@ class TestRiskEstimateInvariants:
                 thresholds=np.array([1.0, 1.0]),
                 leftmost_sign=1,
             )
+
+
+def direct_overlap(pair, window=None):
+    """overlap_integral's quadrature with both densities from the direct
+    evaluator."""
+    if window is None:
+        window = risk._pair_window(pair)
+    grid = np.linspace(window[0], window[1], DEFAULT_GRID_POINTS)
+    fm = eval_on_sorted_grid(pair.f_minus, grid)
+    fp = eval_on_sorted_grid(pair.f_plus, grid)
+    return float(np.trapezoid(np.minimum(fm, fp), grid))
+
+
+def uses_binned_densities(pair, window=None):
+    if window is None:
+        window = risk._pair_window(pair)
+    grid = np.linspace(window[0], window[1], DEFAULT_GRID_POINTS)
+    return all(
+        binned_density_on_grid(f, grid) is not None
+        for f in (pair.f_minus, pair.f_plus)
+    )
+
+
+class TestBinnedOverlap:
+    """overlap_integral with binned densities against the direct oracle."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(300, 3000),
+        st.integers(300, 3000),
+        st.floats(0.0, 4.0),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_direct(self, n_minus, n_plus, distance, rescaled, seed):
+        rng = np.random.default_rng(seed)
+        minus = rng.normal(size=n_minus)
+        plus = rng.normal(loc=distance, size=n_plus)
+        pair = projected_pair(minus, plus)
+        window = None
+        if rescaled:
+            pair = rescaled_pair(
+                minus, plus, pair.f_minus.bandwidth, pair.f_plus.bandwidth, 5.0
+            )
+            window = (0.0, 1.0)
+        assert uses_binned_densities(pair, window)
+        expected = direct_overlap(pair, window)
+        assert abs(overlap_integral(pair, window=window) - expected) <= 1e-13
+
+    @pytest.mark.parametrize("bridge", [False, True])
+    def test_small_overlap_is_direct_bit_for_bit(self, bridge, rng):
+        # Without a bridge the center distances bound the overlap below 1e-3
+        # up front; one plus point near the minus cloud voids that bound, so
+        # the binned overlap is computed and then replaced.
+        minus = rng.normal(size=800)
+        plus = rng.normal(loc=11.0, size=800)
+        if bridge:
+            plus = np.concatenate([plus, [minus.max() + 0.8]])
+        pair = projected_pair(minus, plus)
+        width = np.subtract(*risk._pair_window(pair)[::-1])
+        bound = width * min_density_bound(pair.f_minus, pair.f_plus)
+        assert (bound >= 1e-3) == bridge
+        assert uses_binned_densities(pair)
+        expected = direct_overlap(pair)
+        assert expected < 1e-3
+        assert overlap_integral(pair) == expected
