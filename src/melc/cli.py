@@ -12,7 +12,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from ._parallel import map_ordered
 from .datasets import (
     DATASET_NAMES,
     GENERATOR_NAME,
@@ -166,7 +165,6 @@ def _config_metadata(config: RunConfig) -> dict:
         "grid_points": config.grid_points,
         "tail_k": config.tail_k,
         "bandwidth_override": config.bandwidth_override,
-        "threads": os.environ.get("MELC_THREADS", "0"),
     }
 
 
@@ -209,8 +207,12 @@ def cmd_bound_check(config: RunConfig) -> int:
     data = _as_2d(_load_dataset(config.inputs[0]), config)
     data.require_both_classes()
 
-    def check(entry):
-        angle, direction = entry
+    lines = ["angle_rad,lhs,rhs,slack,holds,separable"]
+    min_slack = math.inf
+    min_slack_angle = None
+    violations = 0
+    separable_count = 0
+    for angle, direction in angle_grid(config.angles):
         minus, plus = project(data, direction)
         if config.bandwidth_override is None:
             sigma_minus = silverman_bandwidth(minus)
@@ -218,15 +220,7 @@ def cmd_bound_check(config: RunConfig) -> int:
         else:
             sigma_minus = sigma_plus = config.bandwidth_override
         pair = rescaled_pair(minus, plus, sigma_minus, sigma_plus, config.tail_k)
-        return angle, bound_check(pair, config.grid_points)
-
-    results = map_ordered(check, angle_grid(config.angles))
-    lines = ["angle_rad,lhs,rhs,slack,holds,separable"]
-    min_slack = math.inf
-    min_slack_angle = None
-    violations = 0
-    separable_count = 0
-    for angle, result in results:
+        result = bound_check(pair, config.grid_points)
         both_finite = math.isfinite(result.lhs) and math.isfinite(result.rhs)
         slack = result.lhs - result.rhs if both_finite else math.inf
         lines.append(

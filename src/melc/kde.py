@@ -22,9 +22,9 @@ kept only where it is far below the result:
   1e-12 relative. Narrow kernels, small inputs and tiny or separable sums take
   the direct path and return its value bit for bit.
 - ``binned_density_on_grid`` evaluates a density on a ``np.linspace`` grid by
-  FFT convolution when the grid step is small against the bandwidth (at most
-  12 terms reach a remainder of 1e-17 of a kernel's peak). Its error is about
-  1e-16 of the peak density at every node.
+  FFT convolution with closed-form kernel spectra when the grid step is small
+  against the bandwidth (at most 12 terms reach a remainder of 1e-17 of a
+  kernel's peak). Its error is about 1e-16 of the peak density at every node.
 
 ``kde_eval`` and ``eval_on_sorted_grid`` are always direct: threshold
 extraction needs the sign of a density difference in the tails.
@@ -64,6 +64,7 @@ _PAIR_BINS_PER_STD = 4
 _PAIR_TERMS = 16
 # Wider spans take the direct sum: the binned cost grows with the bins squared.
 _PAIR_MAX_SPAN_STDS = 64.0
+_PAIR_MAX_BINS = int(_PAIR_MAX_SPAN_STDS * _PAIR_BINS_PER_STD) + 1
 # Cost model, measured on a 2-vCPU x86 host: the direct sum takes about
 # 2.5 ns per pair within its reach, the binned one about 0.3 ms plus 20 ns
 # per pair of bins. The binned sum runs when the direct one would compute
@@ -89,6 +90,8 @@ _GRID_MAX_TERMS = 12
 # Below this many kernel evaluations (centers times grid nodes within reach)
 # the direct evaluator is the cheaper one.
 _GRID_MIN_EVALS = 1 << 18
+# Longest transform, in grids: narrower windows than this allows go direct.
+_GRID_MAX_LENGTH = 4
 
 
 class DegenerateBandwidthError(ValueError):
@@ -198,24 +201,38 @@ def _grid_terms(ratio: float) -> int | None:
     return None
 
 
+def _transform_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c that is at least ``n`` (n >= 1)."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 * 2^k with 2^k >= ceil(n / p35)
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def binned_density_on_grid(f: Kde1d, grid: np.ndarray) -> np.ndarray | None:
     """Density values on ``grid = np.linspace(lo, hi, n)`` by the binned
     expansion, or None where the direct ``eval_on_sorted_grid`` must be used:
-    the grid step is too coarse for the bandwidth, the problem is too small
-    to pay for the transform, or a center lies outside the grid."""
+    the grid step is too coarse for the bandwidth, the window too narrow for
+    a transform of at most _GRID_MAX_LENGTH grids, the problem too small to
+    pay for the transform, or a center lies outside the grid."""
     ratio = (grid[-1] - grid[0]) / (grid.size - 1) / f.bandwidth
     if not ratio > 0:  # an empty or descending window
         return None
     terms = _grid_terms(ratio)
     reach = min(grid.size, 2.0 * _CUTOFF_STDS / ratio)
-    if terms is None or f.centers.size * reach < _GRID_MIN_EVALS:
+    too_long = (_CUTOFF_STDS + 1.0) / ratio > (_GRID_MAX_LENGTH - 1) * grid.size
+    if terms is None or too_long or f.centers.size * reach < _GRID_MIN_EVALS:
         return None
     return _binned_density(f, grid, terms)
 
 
 def _binned_density(f: Kde1d, grid: np.ndarray, terms: int) -> np.ndarray | None:
     """Density on a linspace grid from ``terms`` Taylor moments per node and
-    one FFT convolution per moment; None when a center lies outside the grid.
+    one batched FFT convolution; None when a center lies outside the grid.
 
     Each center is assigned to its nearest node k, at an offset v from the
     node in bandwidths. With u the node distance g - k in bandwidths,
@@ -224,33 +241,40 @@ def _binned_density(f: Kde1d, grid: np.ndarray, terms: int) -> np.ndarray | None
 
     so the density is a sum over q of per-node moments convolved with fixed
     kernels. The nodes are taken as exactly uniform, which np.linspace's
-    nodes are up to their own rounding.
+    nodes are up to their own rounding. For a step of r bandwidths the q-th
+    kernel, wrapped with period L, has the DFT sqrt(2 pi) / r (-i)^q
+    He_q(xi) / q! exp(-xi^2 / 2) at xi = 2 pi m / (L r), up to aliasing below
+    1e-50 for every r that _grid_terms admits; L >= n + 11 / r keeps the
+    wrapped images 11 bandwidths from every output node.
     """
     n = grid.size
     step = (grid[-1] - grid[0]) / (n - 1)
+    ratio = step / f.bandwidth
     nodes = np.rint((f.centers - grid[0]) / step).astype(np.intp)
     if nodes.min() < 0 or nodes.max() >= n:
         return None
     offsets = (f.centers - grid[nodes]) / f.bandwidth
-    weights = np.exp(-0.5 * offsets * offsets)
-    u = np.arange(1 - n, n) * (step / f.bandwidth)
-    kernel = np.exp(-0.5 * u * u)
-    kernel[np.abs(u) > _CUTOFF_STDS + 1.0] = 0.0
-    # Kernel of node distance j at index j mod size; size >= 2n - 1 keeps the
-    # circular convolution free of wrap-around on the n output nodes.
-    size = 2 * n
-    wrapped = np.zeros(size)
-    spectrum = 0.0
+    # powers[q] = v^q exp(-v^2/2), summed per (term, node) by one bincount.
+    powers = np.empty((terms, offsets.size))
+    powers[0] = np.exp(-0.5 * offsets * offsets)
+    for q in range(1, terms):
+        np.multiply(powers[q - 1], offsets, out=powers[q])
+    index = nodes + n * np.arange(terms)[:, None]
+    moments = np.bincount(index.ravel(), weights=powers.ravel(), minlength=terms * n)
+    size = _transform_length(n + math.ceil((_CUTOFF_STDS + 1.0) / ratio))
+    # exp(-xi^2/2) underflows to zero from xi = 39 on, and so do the spectra.
+    count = min(size // 2 + 1, math.ceil(39.0 * size * ratio / (2.0 * math.pi)))
+    xi = np.arange(count) * (2.0 * math.pi / (size * ratio))
+    # He_q(xi) exp(-xi^2/2) / q! times (-i)^q, by the Hermite recurrence.
+    spectra = np.empty((terms, xi.size), dtype=complex)
+    previous, current = 0.0, np.exp(-0.5 * xi * xi)
     for q in range(terms):
-        wrapped[:n] = kernel[n - 1 :]
-        wrapped[size - n + 1 :] = kernel[: n - 1]
-        moments = np.bincount(nodes, weights=weights, minlength=n)
-        spectrum = spectrum + np.fft.rfft(moments, size) * np.fft.rfft(wrapped)
-        weights *= offsets
-        kernel = kernel * u / (q + 1)
-    density = np.fft.irfft(spectrum, size)[:n]
-    density /= f.centers.size * f.bandwidth * _SQRT_2PI
-    return density
+        spectra[q] = current * (-1j) ** q / math.factorial(q)
+        previous, current = current, xi * current - q * previous
+    spectra *= np.fft.rfft(moments.reshape(terms, n), size, axis=1)[:, : xi.size]
+    density = np.fft.irfft(spectra.sum(axis=0), size)[:n]
+    # sqrt(2 pi) / r over the mixture's N sigma sqrt(2 pi) is 1 / (N step).
+    return density / (f.centers.size * step)
 
 
 def _min_pair_distance(a_sorted: np.ndarray, b_sorted: np.ndarray) -> float:
@@ -314,13 +338,32 @@ def _gaussian_derivatives(x: np.ndarray, terms: int) -> np.ndarray:
     return h
 
 
+def _pair_derivatives(n_bins: int) -> np.ndarray:
+    """h_n at the bin distances (1 - n_bins .. n_bins - 1) / 4 for n < terms,
+    sliced from a table that covers every span below the cap."""
+    if n_bins > _PAIR_MAX_BINS:
+        distances = np.arange(1 - n_bins, n_bins) / _PAIR_BINS_PER_STD
+        return _gaussian_derivatives(distances, _PAIR_TERMS)
+    first = _PAIR_MAX_BINS - n_bins
+    return _PAIR_DERIVATIVES[:, first : first + 2 * n_bins - 1]
+
+
+_PAIR_DERIVATIVES = _gaussian_derivatives(
+    np.arange(1 - _PAIR_MAX_BINS, _PAIR_MAX_BINS) / _PAIR_BINS_PER_STD, _PAIR_TERMS
+)
+_PAIR_FACTORIALS = np.cumprod([1.0, *range(1, _PAIR_TERMS)])[:, None]
+
+
 def _bin_moments(bins: np.ndarray, offsets: np.ndarray, n_bins: int) -> np.ndarray:
-    """Per-bin sums of offset^m / m! for m < _PAIR_TERMS, shape (terms, bins)."""
-    moments = np.empty((_PAIR_TERMS, n_bins))
-    power = np.ones_like(offsets)
-    for m in range(_PAIR_TERMS):
-        moments[m] = np.bincount(bins, weights=power, minlength=n_bins)
-        power *= offsets / (m + 1)
+    """Per-bin sums of offset^m / m! for m < _PAIR_TERMS, shape (terms, bins),
+    from one power table summed over each run of equal (ascending) bins."""
+    powers = np.empty((_PAIR_TERMS, offsets.size))
+    powers[0] = 1.0
+    for m in range(1, _PAIR_TERMS):
+        np.multiply(powers[m - 1], offsets, out=powers[m])
+    starts = np.flatnonzero(np.diff(bins, prepend=-1))
+    moments = np.zeros((_PAIR_TERMS, n_bins))
+    moments[:, bins[starts]] = np.add.reduceat(powers, starts, axis=1) / _PAIR_FACTORIALS
     return moments
 
 
@@ -352,8 +395,7 @@ def _hermite_pair_sum(a: np.ndarray, b: np.ndarray, var_sum: float) -> float:
         moments_b = moments_a * (-1.0) ** np.arange(_PAIR_TERMS)[:, None]
     else:
         moments_b = _bin_moments(bins_b, bins_b / _PAIR_BINS_PER_STD - ub, n_bins)
-    distances = np.arange(1 - n_bins, n_bins) / _PAIR_BINS_PER_STD
-    h = _gaussian_derivatives(distances, _PAIR_TERMS)
+    h = _pair_derivatives(n_bins)
     # toeplitz[n, k, j] = h[n, k + j] = h_n((k - l) / 4) with l = n_bins - 1 - j.
     toeplitz = sliding_window_view(h, n_bins, axis=1)
     reversed_b = np.ascontiguousarray(moments_b[:, ::-1].T)
@@ -362,9 +404,10 @@ def _hermite_pair_sum(a: np.ndarray, b: np.ndarray, var_sum: float) -> float:
     total = 0.0
     for n0 in range(0, _PAIR_TERMS, _PAIR_BLOCK):
         block = slice(n0, n0 + _PAIR_BLOCK)
+        q_end = n0 + _PAIR_BLOCK  # shifted rows with q > n are zero
         # contracted[n, k, q] = sum_l h_n((k - l) / 4) * moments_b[q, l]
-        contracted = np.ascontiguousarray(toeplitz[block]) @ reversed_b
-        total += float(np.einsum("nqk,nkq->", shifted[block], contracted))
+        contracted = np.ascontiguousarray(toeplitz[block]) @ reversed_b[:, :q_end]
+        total += float(np.einsum("nqk,nkq->", shifted[block, :q_end], contracted))
     return total
 
 

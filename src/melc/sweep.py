@@ -3,9 +3,7 @@
 Every angle gets one record holding all per-direction objectives: the cross
 information potential and its entropies, the hinge baseline at its optimal
 bias, the best single-threshold balanced error, and the overlap-based
-balanced Bayes risk. Per-angle evaluations are independent and run on a
-thread pool sized by the MELC_THREADS environment variable (0 or unset means
-one worker per CPU).
+balanced Bayes risk.
 """
 
 import math
@@ -13,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import map_ordered
 from .geometry import LabeledDataset, UnitDirection, cosine_alignment, project
 from .kde import Kde1d, silverman_bandwidth
 from .objectives import (
@@ -135,7 +132,7 @@ def sweep(
     Returns
     -------
     list of SweepRecord, ordered by angle index and deterministic for fixed
-    inputs regardless of the worker count.
+    inputs.
     """
     if data.dim != 2:
         raise ValueError("sweep requires a 2-D dataset")
@@ -163,7 +160,7 @@ def sweep(
             eaa_risk=overlap / 2.0,
         )
 
-    return map_ordered(evaluate, angle_grid(n))
+    return [evaluate(entry) for entry in angle_grid(n)]
 
 
 def melc_direction(
@@ -180,14 +177,13 @@ def melc_direction(
         raise ValueError("direction scan requires a 2-D dataset")
     data.require_both_classes()
 
-    def potential(entry):
-        _, direction = entry
+    grid = angle_grid(n)
+    values = []
+    for _, direction in grid:
         minus, plus = project(data, direction)
         sigma_minus, sigma_plus = _class_bandwidths(minus, plus, bandwidth_override)
-        return cip(ProjectedPair(Kde1d(minus, sigma_minus), Kde1d(plus, sigma_plus)))
-
-    grid = angle_grid(n)
-    values = map_ordered(potential, grid)
+        pair = ProjectedPair(Kde1d(minus, sigma_minus), Kde1d(plus, sigma_plus))
+        values.append(cip(pair))
     best = int(np.argmin(values))
     return grid[best]
 

@@ -20,6 +20,7 @@ from melc.kde import (
     self_integral,
     silverman_bandwidth,
 )
+from melc.objectives import rescaled_pair
 
 
 def random_kde(rng, max_centers=10, spread=3.0):
@@ -285,6 +286,23 @@ class TestBinnedPairSum:
         assert kde._gauss_pair_sum(minus, plus, var_sum) == binned
         assert binned != kde._direct_pair_sum(a, b, var_sum)
 
+    def test_derivative_table_slices_are_bit_equal(self):
+        cap = kde._PAIR_MAX_BINS
+        assert cap >= kde._PAIR_MAX_SPAN_STDS * kde._PAIR_BINS_PER_STD
+        for nb in range(1, cap + 3):
+            distances = np.arange(1 - nb, nb) / kde._PAIR_BINS_PER_STD
+            expected = kde._gaussian_derivatives(distances, kde._PAIR_TERMS)
+            assert np.array_equal(kde._pair_derivatives(nb), expected)
+
+    def test_runs_past_the_table(self, rng):
+        # A span of 80 standard deviations needs more bins than the table has.
+        a = np.sort(rng.uniform(0.0, 80.0, size=2000))
+        b = np.sort(rng.uniform(0.0, 80.0, size=1500))
+        var_sum = 1.0
+        assert 80.0 * kde._PAIR_BINS_PER_STD + 1 > kde._PAIR_MAX_BINS
+        direct = kde._direct_pair_sum(a, b, var_sum)
+        assert kde._hermite_pair_sum(a, b, var_sum) == pytest.approx(direct, rel=1e-13)
+
     @pytest.mark.parametrize(
         "case", ["narrow-kernel", "separable", "few-pairs", "wide-span"]
     )
@@ -354,6 +372,44 @@ class TestBinnedGridDensity:
         assert float(np.max(np.abs(binned - exact))) <= 1e-15 * peak
         assert np.max(np.abs(binned - direct)) <= 1e-15 * peak + direct_rounding
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+        reason="needs an extended-precision long double",
+    )
+    @pytest.mark.parametrize("window", ["narrower-than-kernel", "tail-k-5"])
+    def test_no_wrap_around(self, window, rng):
+        # The transform is periodic: a kernel's images must stay beyond the
+        # cutoff however wide the kernel is against the window.
+        if window == "narrower-than-kernel":
+            grid = np.linspace(-0.5, 0.5, 4096)
+            f = Kde1d(rng.uniform(-0.5, 0.5, size=1000), 2.0)
+        else:
+            # bound_check's window: the centers end 5 bandwidths from its edges.
+            minus = rng.normal(size=1000)
+            plus = rng.normal(loc=1.0, size=1000)
+            pair = rescaled_pair(
+                minus, plus, silverman_bandwidth(minus), silverman_bandwidth(plus), 5.0
+            )
+            grid = np.linspace(0.0, 1.0, 4096)
+            f = pair.f_minus
+        terms = kde._grid_terms((grid[-1] - grid[0]) / (grid.size - 1) / f.bandwidth)
+        exact = _exact_density(f, grid)
+        binned = kde._binned_density(f, grid, terms)
+        assert float(np.max(np.abs(binned - exact))) <= 1e-15 * float(exact.max())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**7))
+    def test_transform_length_is_smallest_5_smooth(self, n):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        length = kde._transform_length(n)
+        assert length >= n and smooth(length)
+        assert not any(smooth(m) for m in range(n, length))
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.integers(1, 200),
@@ -389,3 +445,9 @@ class TestBinnedGridDensity:
         assert binned_density_on_grid(Kde1d(outside, 0.3), grid) is None
         # A descending window.
         assert binned_density_on_grid(Kde1d(centers, 0.3), grid[::-1]) is None
+        # A window narrower than about 3.7 bandwidths needs a transform
+        # longer than four grids; 5 bandwidths does not.
+        inside = np.clip(centers, -0.5, 0.5)
+        narrow = np.linspace(-0.5, 0.5, 4096)
+        assert binned_density_on_grid(Kde1d(inside, 1.0 / 3.5), narrow) is None
+        assert binned_density_on_grid(Kde1d(inside, 1.0 / 5.0), narrow) is not None
