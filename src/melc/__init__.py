@@ -32,7 +32,6 @@ from .objectives import (
     cauchy_schwarz_divergence,
     cip,
     gaussian_cip_closed_form,
-    hinge_loss,
     projected_pair,
     renyi_cross_entropy,
     renyi_entropy,
@@ -54,6 +53,7 @@ from .sweep import (
     ComparisonRow,
     SweepRecord,
     angle_grid,
+    bound_sweep,
     compare,
     melc_direction,
     relative_error,

@@ -24,18 +24,17 @@ from .datasets import (
     save_csv,
 )
 from .geometry import LabeledDataset, project
-from .kde import Kde1d, silverman_bandwidth
-from .objectives import ProjectedPair, rescaled_pair
+from .objectives import projected_pair
 from .risk import (
     DEFAULT_GRID_POINTS,
-    bound_check,
     build_multithreshold_model,
     classify,
     empirical_balanced_error,
 )
 from .sweep import (
+    DEFAULT_TAIL_K,
     SWEEP_FIELDS,
-    angle_grid,
+    bound_sweep,
     compare,
     melc_direction,
     select_best,
@@ -43,7 +42,6 @@ from .sweep import (
 )
 
 DEFAULT_ANGLES = 360
-DEFAULT_TAIL_K = 5.0
 
 
 @dataclass
@@ -205,22 +203,20 @@ def cmd_table(config: RunConfig) -> int:
 
 def cmd_bound_check(config: RunConfig) -> int:
     data = _as_2d(_load_dataset(config.inputs[0]), config)
-    data.require_both_classes()
+    results = bound_sweep(
+        data,
+        config.angles,
+        bandwidth_override=config.bandwidth_override,
+        tail_k=config.tail_k,
+        grid_points=config.grid_points,
+    )
 
     lines = ["angle_rad,lhs,rhs,slack,holds,separable"]
     min_slack = math.inf
     min_slack_angle = None
     violations = 0
     separable_count = 0
-    for angle, direction in angle_grid(config.angles):
-        minus, plus = project(data, direction)
-        if config.bandwidth_override is None:
-            sigma_minus = silverman_bandwidth(minus)
-            sigma_plus = silverman_bandwidth(plus)
-        else:
-            sigma_minus = sigma_plus = config.bandwidth_override
-        pair = rescaled_pair(minus, plus, sigma_minus, sigma_plus, config.tail_k)
-        result = bound_check(pair, config.grid_points)
+    for angle, result in results:
         both_finite = math.isfinite(result.lhs) and math.isfinite(result.rhs)
         slack = result.lhs - result.rhs if both_finite else math.inf
         lines.append(
@@ -280,12 +276,8 @@ def cmd_classify(config: RunConfig) -> int:
         train, config.angles, bandwidth_override=config.bandwidth_override
     )
     minus, plus = project(train, direction)
-    if config.bandwidth_override is None:
-        sigma_minus = silverman_bandwidth(minus)
-        sigma_plus = silverman_bandwidth(plus)
-    else:
-        sigma_minus = sigma_plus = config.bandwidth_override
-    pair = ProjectedPair(Kde1d(minus, sigma_minus), Kde1d(plus, sigma_plus))
+    sigma = config.bandwidth_override
+    pair = projected_pair(minus, plus, sigma, sigma)
     model = build_multithreshold_model(pair, direction, config.grid_points)
     predictions = classify(model, test.points)
     with open(config.output, "w", encoding="utf-8") as handle:
@@ -298,7 +290,7 @@ def cmd_classify(config: RunConfig) -> int:
         "direction": [float(c) for c in direction.components],
         "thresholds": [float(t) for t in model.thresholds],
         "leftmost_sign": model.leftmost_sign,
-        "bandwidths": [sigma_minus, sigma_plus],
+        "bandwidths": [pair.f_minus.bandwidth, pair.f_plus.bandwidth],
         "balanced_error": empirical_balanced_error(model, test),
         "n_test": test.n_points,
     }

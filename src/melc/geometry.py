@@ -170,16 +170,12 @@ def unit_rescale(
     sigma_minus: float,
     sigma_plus: float,
     tail_k: float,
-) -> tuple[AffineMap1d, np.ndarray, np.ndarray]:
-    """Affinely map a sigma-buffered interval around the centers onto [0, 1].
+) -> AffineMap1d:
+    """Affine map sending a sigma-buffered interval around the centers onto [0, 1].
 
     The interval [min(center) - tail_k * max(sigma), max(center) + tail_k * max(sigma)]
     is sent onto the unit interval. Bandwidths of any density built on the
-    rescaled axis must be multiplied by the returned map's scale by the caller.
-
-    Returns
-    -------
-    (map, rescaled_minus, rescaled_plus)
+    rescaled axis must be multiplied by the map's scale by the caller.
     """
     minus = np.asarray(minus, dtype=np.float64)
     plus = np.asarray(plus, dtype=np.float64)
@@ -196,8 +192,7 @@ def unit_rescale(
     if hi <= lo:
         raise ValueError("degenerate support: all centers equal and zero bandwidth")
     scale = 1.0 / (hi - lo)
-    mapping = AffineMap1d(scale=scale, offset=-lo * scale)
-    return mapping, mapping.apply(minus), mapping.apply(plus)
+    return AffineMap1d(scale=scale, offset=-lo * scale)
 
 
 def cosine_alignment(v1: UnitDirection, v2: UnitDirection) -> float:

@@ -163,13 +163,10 @@ def kde_eval(f: Kde1d, x):
     return out.reshape(x_arr.shape)
 
 
-def eval_on_sorted_grid(f: Kde1d, grid: np.ndarray, out=None) -> np.ndarray:
+def eval_on_sorted_grid(f: Kde1d, grid: np.ndarray) -> np.ndarray:
     """Density values on an ascending grid, skipping kernels farther than
     ``_CUTOFF_STDS`` bandwidths from a grid block (below 1e-15 relative)."""
-    if out is None:
-        out = np.zeros(grid.size)
-    else:
-        out[:] = 0.0
+    out = np.zeros(grid.size)
     centers = np.sort(f.centers)
     reach = _CUTOFF_STDS * f.bandwidth
     inv2s2 = 0.5 / (f.bandwidth * f.bandwidth)

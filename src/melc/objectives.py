@@ -23,7 +23,6 @@ __all__ = [
     "renyi_entropy",
     "cauchy_schwarz_divergence",
     "gaussian_cip_closed_form",
-    "hinge_loss",
     "best_bias_hinge",
 ]
 
@@ -38,8 +37,8 @@ class ProjectedPair:
 
 
 def projected_pair(minus, plus, sigma_minus=None, sigma_plus=None) -> ProjectedPair:
-    """Build class KDEs from projected scalars; bandwidths default to the
-    Silverman rule per class."""
+    """Build class KDEs from projected scalars; a bandwidth left None is the
+    Silverman rule of its class."""
     minus = np.asarray(minus, dtype=np.float64)
     plus = np.asarray(plus, dtype=np.float64)
     if sigma_minus is None:
@@ -54,10 +53,12 @@ def projected_pair(minus, plus, sigma_minus=None, sigma_plus=None) -> ProjectedP
 
 def rescaled_pair(minus, plus, sigma_minus, sigma_plus, tail_k) -> ProjectedPair:
     """Build the pair on the axis rescaled so a tail_k-sigma buffered interval
-    around all centers lands on [0, 1]; bandwidths are scaled along."""
-    mapping, _, _ = unit_rescale(minus, plus, sigma_minus, sigma_plus, tail_k)
-    f_minus = rescale_kde(Kde1d(minus, sigma_minus), mapping)
-    f_plus = rescale_kde(Kde1d(plus, sigma_plus), mapping)
+    around all centers lands on [0, 1]; bandwidths are scaled along, and a
+    bandwidth left None is the Silverman rule as in ``projected_pair``."""
+    pair = projected_pair(minus, plus, sigma_minus, sigma_plus)
+    f_minus, f_plus = pair.f_minus, pair.f_plus
+    mapping = unit_rescale(minus, plus, f_minus.bandwidth, f_plus.bandwidth, tail_k)
+    f_minus, f_plus = rescale_kde(f_minus, mapping), rescale_kde(f_plus, mapping)
     return ProjectedPair(f_minus=f_minus, f_plus=f_plus, applied_map=mapping)
 
 
@@ -126,14 +127,6 @@ def gaussian_cip_closed_form(
     return math.exp(-(delta * delta) / (2.0 * var_sum)) / math.sqrt(
         2.0 * math.pi * var_sum
     )
-
-
-def hinge_loss(margin_products) -> float:
-    """Mean of max(0, 1 - p) over products p = prediction * label."""
-    products = np.asarray(margin_products, dtype=np.float64)
-    if products.size == 0:
-        raise ValueError("hinge loss of an empty sample is undefined")
-    return float(np.mean(np.maximum(0.0, 1.0 - products)))
 
 
 def best_bias_hinge(minus, plus) -> tuple[float, float]:

@@ -23,14 +23,12 @@ import numpy as np
 
 from .geometry import AffineMap1d, LabeledDataset, UnitDirection, project
 from .kde import (
-    Kde1d,
     binned_density_on_grid,
     eval_on_sorted_grid,
     kde_eval,
     min_density_bound,
-    silverman_bandwidth,
 )
-from .objectives import ProjectedPair, renyi_cross_entropy
+from .objectives import ProjectedPair, projected_pair, renyi_cross_entropy
 
 __all__ = [
     "MultithresholdModel",
@@ -117,11 +115,11 @@ class BoundCheck:
     separable: bool = False
 
 
-def _pair_window(p: ProjectedPair, stds: float = _WINDOW_STDS) -> tuple[float, float]:
+def _pair_window(p: ProjectedPair) -> tuple[float, float]:
     centers_lo = min(float(p.f_minus.centers.min()), float(p.f_plus.centers.min()))
     centers_hi = max(float(p.f_minus.centers.max()), float(p.f_plus.centers.max()))
     sigma_max = max(p.f_minus.bandwidth, p.f_plus.bandwidth)
-    return centers_lo - stds * sigma_max, centers_hi + stds * sigma_max
+    return centers_lo - _WINDOW_STDS * sigma_max, centers_hi + _WINDOW_STDS * sigma_max
 
 
 def _check_grid_points(grid_points: int):
@@ -165,44 +163,34 @@ def overlap_integral(
     return float(np.trapezoid(np.minimum(fm, fp), grid))
 
 
-def _resolve_bandwidths(minus, plus, bandwidths):
-    if bandwidths is None:
-        return silverman_bandwidth(minus), silverman_bandwidth(plus)
-    if np.isscalar(bandwidths):
-        return float(bandwidths), float(bandwidths)
-    sigma_minus, sigma_plus = bandwidths
-    return float(sigma_minus), float(sigma_plus)
-
-
 def eaa_bayes_risk_for_direction(
     data: LabeledDataset,
     v: UnitDirection,
-    bandwidths=None,
+    bandwidth_override=None,
     grid_points: int = DEFAULT_GRID_POINTS,
 ) -> RiskEstimate:
     """Balanced Bayes risk of the multithreshold family on one projection.
 
     Projects the dataset on ``v``, builds the class KDEs (Silverman
-    bandwidths unless ``bandwidths`` gives an explicit pair or one shared
-    value), and returns the overlap mass with eaa_risk = overlap / 2.
+    bandwidths unless ``bandwidth_override`` gives one shared value), and
+    returns the overlap mass with eaa_risk = overlap / 2.
     """
     data.require_both_classes()
     minus, plus = project(data, v)
-    sigma_minus, sigma_plus = _resolve_bandwidths(minus, plus, bandwidths)
-    pair = ProjectedPair(Kde1d(minus, sigma_minus), Kde1d(plus, sigma_plus))
+    pair = projected_pair(minus, plus, bandwidth_override, bandwidth_override)
     overlap = overlap_integral(pair, grid_points)
     return RiskEstimate(
         overlap=overlap, eaa_risk=overlap / 2.0, grid_points=grid_points
     )
 
 
-def _bisect_roots(p: ProjectedPair, lo, hi, g_lo, refine_tol):
+def _bisect_roots(p: ProjectedPair, lo, hi, g_lo):
     """Refine sign-change brackets of f_plus - f_minus by joint bisection."""
     lo = lo.copy()
     hi = hi.copy()
     positive_left = g_lo > 0
     for _ in range(200):  # brackets halve each step; 200 outruns float64
-        if not np.any(hi - lo > refine_tol):
+        if not np.any(hi - lo > DEFAULT_REFINE_TOL):
             break
         mid = 0.5 * (lo + hi)
         g_mid = kde_eval(p.f_plus, mid) - kde_eval(p.f_minus, mid)
@@ -216,14 +204,13 @@ def build_multithreshold_model(
     p: ProjectedPair,
     v: UnitDirection,
     grid_points: int = DEFAULT_GRID_POINTS,
-    refine_tol: float = DEFAULT_REFINE_TOL,
 ) -> MultithresholdModel:
     """Extract the decision rule sign(f_plus - f_minus) as threshold crossings.
 
     Zeros of the density difference are located by sign change on the grid and
-    refined by bisection to brackets no wider than ``refine_tol``. The sign at
-    the left end of the integration window fixes the leftmost region's label;
-    no thresholds at all means one class dominates everywhere.
+    refined by bisection to brackets no wider than ``DEFAULT_REFINE_TOL``. The
+    sign at the left end of the integration window fixes the leftmost region's
+    label; no thresholds at all means one class dominates everywhere.
     """
     _check_grid_points(grid_points)
     window = _pair_window(p)
@@ -261,11 +248,7 @@ def build_multithreshold_model(
     roots = []
     if lo_list:
         refined = _bisect_roots(
-            p,
-            np.asarray(lo_list),
-            np.asarray(hi_list),
-            np.asarray(g_lo_list),
-            refine_tol,
+            p, np.asarray(lo_list), np.asarray(hi_list), np.asarray(g_lo_list)
         )
         roots.extend(refined.tolist())
     roots.extend(exact)

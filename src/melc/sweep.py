@@ -3,7 +3,10 @@
 Every angle gets one record holding all per-direction objectives: the cross
 information potential and its entropies, the hinge baseline at its optimal
 bias, the best single-threshold balanced error, and the overlap-based
-balanced Bayes risk.
+balanced Bayes risk. ``bound_sweep`` checks the entropy bound per angle.
+
+``bandwidth_override`` is one bandwidth shared by both classes; None means
+the Silverman rule per class and per angle.
 """
 
 import math
@@ -12,16 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LabeledDataset, UnitDirection, cosine_alignment, project
-from .kde import Kde1d, silverman_bandwidth
 from .objectives import (
-    ProjectedPair,
     best_bias_hinge,
     cip,
+    projected_pair,
     renyi_entropy,
+    rescaled_pair,
 )
 from .risk import (
     DEFAULT_GRID_POINTS,
+    BoundCheck,
     best_single_threshold_error,
+    bound_check,
     overlap_integral,
 )
 
@@ -32,6 +37,7 @@ __all__ = [
     "angle_grid",
     "sweep",
     "melc_direction",
+    "bound_sweep",
     "select_best",
     "relative_error",
     "compare",
@@ -52,6 +58,10 @@ SWEEP_FIELDS = (
 # Best errors at or below this are treated as numerically zero Bayes risk:
 # relative errors are undefined there and absolute gaps are reported instead.
 SEPARABLE_TOL = 1e-9
+
+# Bandwidths of buffer on each side of the centers before the bound check's
+# rescale to [0, 1].
+DEFAULT_TAIL_K = 5.0
 
 
 @dataclass(frozen=True)
@@ -101,15 +111,6 @@ def angle_grid(n: int) -> list[tuple[float, UnitDirection]]:
     return [(k * math.pi / n, UnitDirection.from_angle(k * math.pi / n)) for k in range(n)]
 
 
-def _class_bandwidths(minus, plus, bandwidth_override):
-    if bandwidth_override is None:
-        return silverman_bandwidth(minus), silverman_bandwidth(plus)
-    if np.isscalar(bandwidth_override):
-        return float(bandwidth_override), float(bandwidth_override)
-    sigma_minus, sigma_plus = bandwidth_override
-    return float(sigma_minus), float(sigma_plus)
-
-
 def sweep(
     data: LabeledDataset,
     n: int,
@@ -124,8 +125,9 @@ def sweep(
         Two-dimensional dataset with both classes present.
     n : int
         Number of grid angles over the half-circle.
-    bandwidth_override : float or (float, float), optional
-        Fixed KDE bandwidth(s) instead of the per-angle Silverman rule.
+    bandwidth_override : float, optional
+        Fixed KDE bandwidth for both classes instead of the per-angle
+        Silverman rule.
     grid_points : int
         Quadrature resolution for the overlap integral.
 
@@ -141,8 +143,7 @@ def sweep(
     def evaluate(entry):
         angle, direction = entry
         minus, plus = project(data, direction)
-        sigma_minus, sigma_plus = _class_bandwidths(minus, plus, bandwidth_override)
-        pair = ProjectedPair(Kde1d(minus, sigma_minus), Kde1d(plus, sigma_plus))
+        pair = projected_pair(minus, plus, bandwidth_override, bandwidth_override)
         potential = cip(pair)
         h2x = -math.log(potential) if potential > 0 else math.inf
         bias, hinge = best_bias_hinge(minus, plus)
@@ -181,11 +182,35 @@ def melc_direction(
     values = []
     for _, direction in grid:
         minus, plus = project(data, direction)
-        sigma_minus, sigma_plus = _class_bandwidths(minus, plus, bandwidth_override)
-        pair = ProjectedPair(Kde1d(minus, sigma_minus), Kde1d(plus, sigma_plus))
+        pair = projected_pair(minus, plus, bandwidth_override, bandwidth_override)
         values.append(cip(pair))
     best = int(np.argmin(values))
     return grid[best]
+
+
+def bound_sweep(
+    data: LabeledDataset,
+    n: int,
+    bandwidth_override=None,
+    tail_k: float = DEFAULT_TAIL_K,
+    grid_points: int = DEFAULT_GRID_POINTS,
+) -> list[tuple[float, BoundCheck]]:
+    """Check the entropy bound on the overlap at every angle of the n-point grid.
+
+    Each projection is rescaled so its tail_k-bandwidth buffered center range
+    is [0, 1] (``rescaled_pair``), then passed to ``bound_check``. Returns one
+    (angle, BoundCheck) per angle, in angle order.
+    """
+    if data.dim != 2:
+        raise ValueError("bound sweep requires a 2-D dataset")
+    data.require_both_classes()
+
+    results = []
+    for angle, direction in angle_grid(n):
+        minus, plus = project(data, direction)
+        pair = rescaled_pair(minus, plus, bandwidth_override, bandwidth_override, tail_k)
+        results.append((angle, bound_check(pair, grid_points)))
+    return results
 
 
 def select_best(records, objective_field: str, minimize: bool) -> SweepRecord:
@@ -211,8 +236,8 @@ def relative_error(chosen_value: float, best_value: float) -> float:
     return (chosen_value - best_value) / best_value
 
 
-def _error_and_flag(chosen: float, best: float, separable_tol: float):
-    if best <= separable_tol:
+def _error_and_flag(chosen: float, best: float):
+    if best <= SEPARABLE_TOL:
         return chosen - best, True
     return relative_error(chosen, best), False
 
@@ -223,7 +248,6 @@ def compare(
     bandwidth_override=None,
     grid_points: int = DEFAULT_GRID_POINTS,
     dataset_name: str = "",
-    separable_tol: float = SEPARABLE_TOL,
 ) -> ComparisonRow:
     """Sweep the dataset and compare surrogate optima with direct-error optima.
 
@@ -238,12 +262,8 @@ def compare(
     at_entropy = select_best(records, "h2x", minimize=False)
     at_bayes = select_best(records, "eaa_risk", minimize=True)
 
-    e_hinge, hinge_sep = _error_and_flag(
-        at_hinge.linear01, at_linear.linear01, separable_tol
-    )
-    e_melc, melc_sep = _error_and_flag(
-        at_entropy.eaa_risk, at_bayes.eaa_risk, separable_tol
-    )
+    e_hinge, hinge_sep = _error_and_flag(at_hinge.linear01, at_linear.linear01)
+    e_melc, melc_sep = _error_and_flag(at_entropy.eaa_risk, at_bayes.eaa_risk)
     return ComparisonRow(
         dataset=dataset_name,
         e_hinge=e_hinge,

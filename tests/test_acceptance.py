@@ -32,7 +32,7 @@ from melc.risk import (
     eaa_bayes_risk_for_direction,
     empirical_balanced_error,
 )
-from melc.sweep import compare, melc_direction, select_best, sweep
+from melc.sweep import bound_sweep, compare, melc_direction, select_best, sweep
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -294,7 +294,7 @@ def test_a8_decision_rule_and_risk_oracles():
         g = Kde1d(rng.normal(scale=2, size=rng.integers(2, 9)), rng.uniform(0.1, 1))
         pair = ProjectedPair(f, g)
         direction = UnitDirection.from_angle(0.0)
-        model = build_multithreshold_model(pair, direction, refine_tol=refine_tol)
+        model = build_multithreshold_model(pair, direction)
         sigma_max = max(f.bandwidth, g.bandwidth)
         lo = min(f.centers.min(), g.centers.min()) - 8 * sigma_max
         hi = max(f.centers.max(), g.centers.max()) + 8 * sigma_max
@@ -362,21 +362,10 @@ def test_a9_sweep_and_bound_check_runtime():
     assert len(records) == 360
 
     started = time.perf_counter()
-    violations = 0
-    from melc.sweep import angle_grid
-
-    for _, direction in angle_grid(360):
-        minus, plus = project(data, direction)
-        pair = rescaled_pair(
-            minus,
-            plus,
-            silverman_bandwidth(minus),
-            silverman_bandwidth(plus),
-            5.0,
-        )
-        if not bound_check(pair).holds:
-            violations += 1
+    results = bound_sweep(data, 360)
     bound_elapsed = time.perf_counter() - started
+    assert len(results) == 360
+    violations = sum(not result.holds for _, result in results)
 
     _report(
         "A9 sweep and bound-check runtime",

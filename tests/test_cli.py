@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from melc.cli import main
+from melc.datasets import load_csv
+from melc.sweep import bound_sweep
 
 
 def run(argv):
@@ -172,6 +174,23 @@ class TestBoundCheckCommand:
         assert any(row[5] == "true" for row in rows)
         assert all(row[4] == "true" for row in rows)
 
+    @pytest.mark.parametrize("sigma", [None, "0.4"])
+    def test_rows_are_bound_sweep(self, tmp_path, two_gauss_csv, sigma):
+        out = tmp_path / "bound.csv"
+        argv = ["bound-check", "--data", two_gauss_csv, "--out", out, "--angles", "18",
+                "--tail-k", "6"]
+        assert run(argv + (["--sigma", sigma] if sigma else [])) == 0
+        _, rows = read_csv_rows(out)
+        results = bound_sweep(
+            load_csv(two_gauss_csv), 18, None if sigma is None else float(sigma), 6.0
+        )
+        expected = [
+            [f"{v:.12g}" for v in (angle, r.lhs, r.rhs, r.lhs - r.rhs)]
+            + [str(r.holds).lower(), str(r.separable).lower()]
+            for angle, r in results
+        ]
+        assert rows == expected
+
 
 class TestClassifyCommand:
     def test_separable_training_error_zero(self, tmp_path):
@@ -201,3 +220,23 @@ class TestErrorPaths:
         out = tmp_path / "s.csv"
         assert run(["sweep", "--data", tmp_path / "nope.csv", "--out", out]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [(["--angles", "1"], "--angles"), (["--grid-points", "10"], "--grid-points")],
+    )
+    @pytest.mark.parametrize("command", ["sweep", "table", "bound-check", "classify"])
+    def test_rejects_too_few_angles_or_grid_points(
+        self, tmp_path, two_gauss_csv, capsys, command, option, message
+    ):
+        out = tmp_path / "out.csv"
+        if command == "classify":
+            inputs = ["--train", two_gauss_csv, "--test", two_gauss_csv]
+        else:
+            inputs = ["--data", two_gauss_csv]
+        capsys.readouterr()
+        assert run([command, *inputs, "--out", out, *option]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("melc: error:") and message in err
+        assert err.count("\n") == 1
+        assert not out.exists()

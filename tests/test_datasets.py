@@ -39,7 +39,7 @@ class TestGenerate:
 
         data = generate(DatasetSpec(name="four-line", seed=3, n_per_component=100))
         estimate = eaa_bayes_risk_for_direction(
-            data, UnitDirection.from_angle(0.0), bandwidths=0.02
+            data, UnitDirection.from_angle(0.0), bandwidth_override=0.02
         )
         assert estimate.eaa_risk < 1e-9
 

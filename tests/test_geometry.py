@@ -95,19 +95,15 @@ class TestProject:
 
 class TestUnitRescale:
     def test_worked_example(self):
-        mapping, minus, plus = unit_rescale(
-            np.array([-1.0]), np.array([3.0]), 0.5, 0.25, 3.0
-        )
+        mapping = unit_rescale(np.array([-1.0]), np.array([3.0]), 0.5, 0.25, 3.0)
         # Buffered interval is [-2.5, 4.5], so x maps to (x + 2.5) / 7.
         assert mapping.scale == pytest.approx(1 / 7)
         assert mapping.offset == pytest.approx(2.5 / 7)
-        assert minus[0] == pytest.approx(3 / 14)
-        assert plus[0] == pytest.approx(11 / 14)
+        assert mapping.apply(-1.0) == pytest.approx(3 / 14)
+        assert mapping.apply(3.0) == pytest.approx(11 / 14)
 
     def test_identity_when_centers_span_unit_interval(self):
-        mapping, minus, plus = unit_rescale(
-            np.array([0.0]), np.array([1.0]), 0.0, 0.0, 3.0
-        )
+        mapping = unit_rescale(np.array([0.0]), np.array([1.0]), 0.0, 0.0, 3.0)
         assert mapping.scale == pytest.approx(1.0)
         assert mapping.offset == pytest.approx(0.0)
 
@@ -117,15 +113,16 @@ class TestUnitRescale:
             plus = rng.normal(scale=5.0, size=rng.integers(1, 6))
             sm, sp = rng.uniform(0.0, 2.0, size=2)
             tail_k = rng.uniform(0.5, 6.0)
-            _, rm, rp = unit_rescale(minus, plus, sm, sp, tail_k)
-            centers = np.concatenate([rm, rp])
+            mapping = unit_rescale(minus, plus, sm, sp, tail_k)
+            centers = mapping.apply(np.concatenate([minus, plus]))
             assert centers.min() >= 0.0 - 1e-12
             assert centers.max() <= 1.0 + 1e-12
 
     def test_inverse_recovers_scalars(self, rng):
         minus = rng.normal(size=7)
         plus = rng.normal(size=4) + 3.0
-        mapping, rm, rp = unit_rescale(minus, plus, 0.3, 0.7, 3.0)
+        mapping = unit_rescale(minus, plus, 0.3, 0.7, 3.0)
+        rm, rp = mapping.apply(minus), mapping.apply(plus)
         np.testing.assert_allclose(mapping.invert(rm), minus, atol=1e-10)
         np.testing.assert_allclose(mapping.invert(rp), plus, atol=1e-10)
 

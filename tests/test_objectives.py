@@ -12,12 +12,19 @@ from melc.objectives import (
     cauchy_schwarz_divergence,
     cip,
     gaussian_cip_closed_form,
-    hinge_loss,
     projected_pair,
     renyi_cross_entropy,
     renyi_entropy,
     rescaled_pair,
 )
+
+
+def hinge_loss(margin_products) -> float:
+    """Mean of max(0, 1 - p) over products p = prediction * label."""
+    products = np.asarray(margin_products, dtype=np.float64)
+    if products.size == 0:
+        raise ValueError("hinge loss of an empty sample is undefined")
+    return float(np.mean(np.maximum(0.0, 1.0 - products)))
 
 
 def single_center_pair(distance, sigma=1.0):
@@ -241,3 +248,12 @@ class TestRescaledPair:
         pair = projected_pair(minus, plus)
         assert pair.f_minus.bandwidth == pytest.approx(silverman_bandwidth(minus))
         assert pair.f_plus.bandwidth == pytest.approx(silverman_bandwidth(plus))
+        # rescaled_pair reads None the same way.
+        sigmas = silverman_bandwidth(minus), silverman_bandwidth(plus)
+        default = rescaled_pair(minus, plus, None, None, 5.0)
+        explicit = rescaled_pair(minus, plus, *sigmas, 5.0)
+        assert default.applied_map == explicit.applied_map
+        for side in ("f_minus", "f_plus"):
+            got, want = getattr(default, side), getattr(explicit, side)
+            assert got.bandwidth == want.bandwidth
+            np.testing.assert_array_equal(got.centers, want.centers)

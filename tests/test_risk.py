@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from melc import risk
-from melc.geometry import LabeledDataset, UnitDirection
+from melc.geometry import LabeledDataset, UnitDirection, project
 from melc.kde import (
     Kde1d,
     binned_density_on_grid,
     eval_on_sorted_grid,
     kde_eval,
     min_density_bound,
+    silverman_bandwidth,
 )
 from melc.objectives import ProjectedPair, projected_pair, rescaled_pair
 from melc.risk import (
@@ -113,8 +114,20 @@ def make_two_clouds(rng, separation, sigma=0.2, n=50):
 class TestEaaBayesRisk:
     def test_separated_clouds_near_zero(self, rng):
         data = make_two_clouds(rng, separation=50.0)
-        estimate = eaa_bayes_risk_for_direction(data, X_AXIS, bandwidths=0.1)
+        estimate = eaa_bayes_risk_for_direction(data, X_AXIS, bandwidth_override=0.1)
         assert estimate.eaa_risk < 1e-6
+
+    @pytest.mark.parametrize("sigma", [None, 0.3])
+    def test_override_matches_hand_built_pair(self, rng, sigma):
+        data = make_two_clouds(rng, separation=0.5)
+        direction = UnitDirection.from_angle(0.4)
+        minus, plus = project(data, direction)
+        if sigma is None:
+            sigmas = (silverman_bandwidth(minus), silverman_bandwidth(plus))
+        else:
+            sigmas = (sigma, sigma)
+        estimate = eaa_bayes_risk_for_direction(data, direction, bandwidth_override=sigma)
+        assert estimate.overlap == overlap_integral(projected_pair(minus, plus, *sigmas))
 
     def test_identical_class_clouds(self, rng):
         points = rng.normal(size=(400, 2))
@@ -199,7 +212,7 @@ class TestBuildMultithresholdModel:
         refine_tol = 1e-10
         for _ in range(5):
             pair = random_pair(rng, max_centers=6, spread=1.5)
-            model = build_multithreshold_model(pair, X_AXIS, refine_tol=refine_tol)
+            model = build_multithreshold_model(pair, X_AXIS)
             sigma_max = max(pair.f_minus.bandwidth, pair.f_plus.bandwidth)
             lo = min(pair.f_minus.centers.min(), pair.f_plus.centers.min())
             hi = max(pair.f_minus.centers.max(), pair.f_plus.centers.max())

@@ -4,11 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from melc.geometry import LabeledDataset, UnitDirection, cosine_alignment
+from melc.geometry import LabeledDataset, UnitDirection, cosine_alignment, project
+from melc.kde import silverman_bandwidth
+from melc.objectives import cip, projected_pair, renyi_entropy, rescaled_pair
+from melc.risk import bound_check, overlap_integral
 from melc.sweep import (
     ComparisonRow,
     SweepRecord,
     angle_grid,
+    bound_sweep,
     compare,
     melc_direction,
     relative_error,
@@ -143,6 +147,67 @@ class TestSweep:
         best = select_best(records, "h2x", minimize=False)
         assert angle == best.angle
         np.testing.assert_array_equal(direction.components, best.direction.components)
+
+
+def hand_pairs(data, n, sigma):
+    """(angle, direction, minus, plus, pair) per grid angle, the pair built by
+    hand: one shared bandwidth, or the Silverman rule of each class."""
+    out = []
+    for angle, direction in angle_grid(n):
+        minus, plus = project(data, direction)
+        if sigma is None:
+            pair = projected_pair(
+                minus, plus, silverman_bandwidth(minus), silverman_bandwidth(plus)
+            )
+        else:
+            pair = projected_pair(minus, plus, sigma, sigma)
+        out.append((angle, direction, minus, plus, pair))
+    return out
+
+
+@pytest.mark.parametrize("sigma", [None, 0.3])
+class TestBandwidthOverride:
+    def test_sweep_matches_hand_built_pairs(self, rng, sigma):
+        data = gaussian_clouds(rng, (0, 0), (1.5, 1), 0.8, 40)
+        records = sweep(data, 12, bandwidth_override=sigma)
+        for record, (angle, _, _, _, pair) in zip(records, hand_pairs(data, 12, sigma)):
+            h2x = -math.log(cip(pair))
+            assert record.angle == angle
+            assert record.cip == cip(pair)
+            h_minus, h_plus = renyi_entropy(pair.f_minus), renyi_entropy(pair.f_plus)
+            assert record.dcs == 2.0 * h2x - h_minus - h_plus
+            assert record.overlap == overlap_integral(pair)
+
+    def test_melc_direction_matches_hand_built_pairs(self, rng, sigma):
+        data = gaussian_clouds(rng, (0, 0), (2, -1), 0.8, 40)
+        pairs = hand_pairs(data, 24, sigma)
+        best = int(np.argmin([cip(pair) for *_, pair in pairs]))
+        angle, direction = melc_direction(data, 24, bandwidth_override=sigma)
+        assert angle == pairs[best][0]
+        np.testing.assert_array_equal(direction.components, pairs[best][1].components)
+
+
+class TestBoundSweep:
+    @pytest.mark.parametrize("sigma", [None, 0.3])
+    def test_matches_hand_built_rescaled_pairs(self, rng, sigma):
+        data = gaussian_clouds(rng, (0, 0), (1.5, 1), 0.8, 40)
+        results = bound_sweep(data, 12, bandwidth_override=sigma, tail_k=6.0)
+        assert len(results) == 12
+        for (angle, result), (expected_angle, _, minus, plus, pair) in zip(
+            results, hand_pairs(data, 12, sigma)
+        ):
+            sigmas = (pair.f_minus.bandwidth, pair.f_plus.bandwidth)
+            assert angle == expected_angle
+            assert result == bound_check(rescaled_pair(minus, plus, *sigmas, 6.0))
+            assert result.holds
+
+    def test_requires_2d_and_both_classes(self, rng):
+        flat = LabeledDataset.from_arrays(rng.normal(size=(10, 3)), [-1, 1] * 5)
+        with pytest.raises(ValueError, match="2-D"):
+            bound_sweep(flat, 8)
+        one_class = LabeledDataset.from_arrays(rng.normal(size=(10, 2)), [1] * 10)
+        with pytest.raises(ValueError, match="both classes"):
+            bound_sweep(one_class, 8)
 
 
 class TestSelectBest:
