@@ -148,15 +148,6 @@ def save_libsvm(data: LabeledDataset, path):
             handle.write(" ".join(parts) + "\n")
 
 
-def _looks_numeric(cells) -> bool:
-    try:
-        for cell in cells:
-            float(cell)
-    except ValueError:
-        return False
-    return True
-
-
 def load_csv(path, label_column: int | None = None) -> LabeledDataset:
     """Load a rectangular numeric CSV; one designated column holds labels.
 
@@ -170,25 +161,26 @@ def load_csv(path, label_column: int | None = None) -> LabeledDataset:
         for lineno, cells in enumerate(csv.reader(handle), start=1):
             if not cells or (cells[0].lstrip().startswith("#")):
                 continue
-            cells = [cell.strip() for cell in cells]
-            if width is None and not _looks_numeric(cells):
-                continue  # header row
-            if not _looks_numeric(cells):
-                raise ValueError(f"{path}: non-numeric cell on line {lineno}")
+            try:
+                row = list(map(float, cells))  # float() ignores surrounding blanks
+            except ValueError:
+                if width is None:
+                    continue  # header row
+                raise ValueError(f"{path}: non-numeric cell on line {lineno}") from None
             if width is None:
-                width = len(cells)
+                width = len(row)
                 if width < 2:
                     raise ValueError(f"{path}: need at least one feature and a label")
-            elif len(cells) != width:
+            elif len(row) != width:
                 raise ValueError(f"{path}: ragged row on line {lineno}")
-            rows.append([float(cell) for cell in cells])
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty dataset file")
     table = np.asarray(rows)
     column = table.shape[1] - 1 if label_column is None else label_column
     if not 0 <= column < table.shape[1]:
         raise ValueError(f"{path}: label column {column} out of range")
-    labels = np.array([_map_label(raw) for raw in table[:, column]], dtype=np.int64)
+    labels = np.where(table[:, column] <= 0, -1, 1).astype(np.int64)
     points = np.delete(table, column, axis=1)
     return LabeledDataset.from_arrays(points, labels)
 

@@ -7,7 +7,10 @@ stack builds on: no quadrature is involved in ``cross_integral``.
 
 The O(N^2) layers have two evaluators. The direct one sums every kernel
 pair, or every kernel at every grid node, that lies within ``_CUTOFF_STDS``
-standard deviations. The binned one serves wide kernels (Greengard & Strain
+standard deviations. For pair sums it visits only those pairs, target by
+target, and keeps numpy's ``exp`` off the arguments that underflow or give
+subnormals, which leave its vector loop and cost 15 to 100 times more per
+element. The binned one serves wide kernels (Greengard & Strain
 1991, the fast Gauss transform; Wand 1994, binned KDE): it assigns every
 center to the nearest node of a uniform lattice, carries per-node Taylor
 moments of the offsets from those nodes, and contracts them with the Gaussian
@@ -34,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .geometry import AffineMap1d
 
@@ -56,6 +59,13 @@ _CUTOFF_STDS = 10.0
 
 _CHUNK = 128
 
+# Terms per block of the direct pair sum, which keeps its scratch in cache.
+_BAND_BUDGET = 1 << 15
+# numpy's exp leaves its vector loop for results that underflow (about 20 ns
+# per element) or are subnormal (about 130 ns), against about 1.2 ns in range
+# (measured on a 2-vCPU x86 host), so no smaller exponent is passed to it.
+_EXP_FLOOR = -700.0
+
 # Binned pair sums. Bins of a quarter standard deviation keep every center
 # within 1/8 of its bin node, so a pair's offset from its bin distance is at
 # most 1/4; with Cramer's bound |h_n| <= 1.09 sqrt(n!), the terms from 16 on
@@ -66,9 +76,12 @@ _PAIR_TERMS = 16
 _PAIR_MAX_SPAN_STDS = 64.0
 _PAIR_MAX_BINS = int(_PAIR_MAX_SPAN_STDS * _PAIR_BINS_PER_STD) + 1
 # Cost model, measured on a 2-vCPU x86 host: the direct sum takes about
-# 2.5 ns per pair within its reach, the binned one about 0.3 ms plus 20 ns
-# per pair of bins. The binned sum runs when the direct one would compute
-# more than _PAIR_MIN_PAIRS + 8 * bins^2 pairs.
+# 3.5 ns per pair within its reach at 1000 to 3000 centers a side (a self
+# pair half that, as it visits i < j only; more below 1000 centers, where its
+# fixed cost shows), the binned one about 0.3 ms plus 20 ns per pair of bins.
+# The binned sum runs when the direct one would compute more than
+# _PAIR_MIN_PAIRS + 8 * bins^2 pairs. That gate was set when the direct sum
+# took 2.5 ns per pair, so it now leans towards the direct sum.
 _PAIR_MIN_PAIRS = 1 << 17
 # A binned sum below this share of N_a * N_b falls back to the direct sum: its
 # absolute error would no longer be 1e-12 relative.
@@ -277,14 +290,10 @@ def _binned_density(f: Kde1d, grid: np.ndarray, terms: int) -> np.ndarray | None
 def _min_pair_distance(a_sorted: np.ndarray, b_sorted: np.ndarray) -> float:
     """Smallest |a_i - b_j| between two ascending arrays."""
     pos = np.searchsorted(a_sorted, b_sorted)
-    best = np.inf
-    left = pos > 0
-    if np.any(left):
-        best = min(best, float(np.min(b_sorted[left] - a_sorted[pos[left] - 1])))
-    right = pos < a_sorted.size
-    if np.any(right):
-        best = min(best, float(np.min(a_sorted[pos[right]] - b_sorted[right])))
-    return max(best, 0.0)
+    padded = np.concatenate(([-np.inf], a_sorted, [np.inf]))
+    below = np.min(b_sorted - padded[pos])
+    above = np.min(padded[pos + 1] - b_sorted)
+    return max(float(min(below, above)), 0.0)
 
 
 def min_density_bound(f: Kde1d, g: Kde1d) -> float:
@@ -301,26 +310,65 @@ def min_density_bound(f: Kde1d, g: Kde1d) -> float:
 
 
 def _direct_pair_sum(a: np.ndarray, b: np.ndarray, var_sum: float) -> float:
-    """sum_ij exp(-(a_i - b_j)^2 / (2 var_sum)) over ascending arrays,
-    truncating pairs whose contribution is below 1e-15 of the dominant term."""
-    s = math.sqrt(var_sum)
-    reach = _min_pair_distance(a, b) + _CUTOFF_STDS * s
+    """sum_ij exp(-(a_i - b_j)^2 / (2 var_sum)) over ascending arrays, over
+    the pairs within _CUTOFF_STDS standard deviations of the closest pair's
+    distance; the others add less than 1e-15 of the dominant term.
+
+    Each target b_j has a window of centers within that reach, found by
+    ``searchsorted``. Targets go in blocks of about _BAND_BUDGET terms, each
+    block as wide as its longest window and read from one strided view of the
+    padded ``a``. Terms past a row's window are clamped at the reach and their
+    known total is subtracted, so exp never sees an exponent below
+    _EXP_FLOOR: where the reach's would be, all exponents are taken relative
+    to the closest pair's and the sum is scaled back. A self pair (``b is
+    a``) sums i < j only.
+    """
     inv2s2 = 0.5 / var_sum
-    total = 0.0
-    scratch = np.empty(min(_CHUNK, b.size) * a.size)
-    for j0 in range(0, b.size, _CHUNK):
-        block = b[j0 : j0 + _CHUNK]
-        lo = np.searchsorted(a, block[0] - reach, side="left")
-        hi = np.searchsorted(a, block[-1] + reach, side="right")
-        if hi <= lo:
-            continue
-        w = scratch[: block.size * (hi - lo)].reshape(block.size, hi - lo)
-        np.subtract(block[:, None], a[None, lo:hi], out=w)
-        np.square(w, out=w)
+    d_min = 0.0 if b is a else _min_pair_distance(a, b)
+    reach = d_min + _CUTOFF_STDS * math.sqrt(var_sum)
+    reach2 = reach * reach
+    shift, scale = 0.0, 1.0
+    if reach2 * -inv2s2 < _EXP_FLOOR:
+        shift = d_min * d_min * -inv2s2
+        scale = math.exp(shift)
+        if scale == 0.0:  # every term underflows
+            return 0.0
+    hi = np.searchsorted(a, b + reach, side="right")
+    if b is a:
+        lo = np.arange(1, a.size + 1)  # i < j
+    else:
+        lo = np.searchsorted(a, b - reach, side="left")
+    counts = hi - lo
+    rows = np.flatnonzero(counts)
+    targets, lo, counts = b[rows], lo[rows], counts[rows]
+    widest = int(counts.max(initial=0))
+    padded = np.concatenate([a, np.full(widest, np.inf)])
+    step = padded.itemsize
+    windows = as_strided(padded, (a.size + 1, widest), (step, step), writeable=False)
+    ends = np.cumsum(counts)
+    total, clamped, start = 0.0, 0, 0
+    while start < rows.size:
+        first = ends[start] - counts[start]
+        stop = max(start + 1, int(np.searchsorted(ends, first + _BAND_BUDGET, "right")))
+        width = int(counts[start:stop].max())
+        if width * (stop - start) > _BAND_BUDGET:
+            stop = start + max(1, _BAND_BUDGET // width)
+            width = int(counts[start:stop].max())
+        w = windows[lo[start:stop], :width]
+        w -= targets[start:stop, None]
+        np.multiply(w, w, out=w)
+        np.minimum(w, reach2, out=w)
         w *= -inv2s2
+        if shift:
+            w -= shift
         np.exp(w, out=w)
         total += float(w.sum())
-    return total
+        clamped += w.size - int(ends[stop - 1] - first)
+        start = stop
+    if clamped:
+        total -= clamped * math.exp(reach2 * -inv2s2 - shift)
+    total *= scale
+    return a.size + 2.0 * total if b is a else total
 
 
 def _gaussian_derivatives(x: np.ndarray, terms: int) -> np.ndarray:

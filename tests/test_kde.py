@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import trapezoid_product_integral
@@ -20,7 +20,7 @@ from melc.kde import (
     self_integral,
     silverman_bandwidth,
 )
-from melc.objectives import rescaled_pair
+from melc.objectives import cip, projected_pair, renyi_cross_entropy, rescaled_pair
 
 
 def random_kde(rng, max_centers=10, spread=3.0):
@@ -224,6 +224,137 @@ def pair_sum_inputs(draw):
     a = _layout(rng, kind_a, n_a, width, loc)
     b = _layout(rng, kind_b, n_b, width * (1.0 - abs(shift)), loc + shift * width)
     return a, b, var_sum
+
+
+def _exact_pair_sum(a, b, var_sum):
+    """sum_ij exp(-(a_i - b_j)^2 / (2 var_sum)) over every pair in extended
+    precision. Only exponents more than one below the log of the smallest
+    long double are skipped: their terms round to exactly 0 there."""
+    a = np.asarray(a, dtype=np.longdouble)
+    b = np.asarray(b, dtype=np.longdouble)
+    scale = np.longdouble(0.5) / np.longdouble(var_sum)
+    lowest = np.log(np.finfo(np.longdouble).smallest_subnormal) - 1
+    total = np.longdouble(0.0)
+    for j0 in range(0, b.size, 256):
+        d = b[j0 : j0 + 256, None] - a[None, :]
+        exponents = -(d * d) * scale
+        total += np.exp(exponents[exponents > lowest]).sum()
+    return total
+
+
+@st.composite
+def band_inputs(draw):
+    """Ascending center sets and the summed variance for the direct pair sum,
+    laid out in units of the pair kernel's standard deviation s: spread,
+    duplicated or all equal over up to 400 s; in clumps at most 3 s wide with
+    gaps wider than 20 s; or a sparse tail of ``b`` over a dense core of
+    ``a``. Optionally ``b`` sits wholly above ``a``, up to 35 s away."""
+    n_a = draw(st.integers(1, 3000))
+    n_b = draw(st.integers(1, 3000))
+    s = draw(st.floats(1e-4, 1.0))
+    loc = draw(st.floats(-10.0, 10.0))
+    layout = draw(st.sampled_from(["spread", "duplicated", "all-equal", "clumps", "tail"]))
+    gap = draw(st.one_of(st.none(), st.floats(0.0, 35.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if layout == "clumps":
+        spacing = 23.0 + draw(st.floats(0.0, 100.0))  # 3 s wide, > 20 s apart
+        clumps = spacing * np.arange(draw(st.integers(1, 8)))
+        a = rng.choice(clumps, n_a) + rng.uniform(0.0, 3.0, n_a)
+        b = rng.choice(clumps, n_b) + rng.uniform(0.0, 3.0, n_b)
+    elif layout == "tail":
+        a = rng.normal(0.0, 2.0, n_a)
+        b = np.where(rng.uniform(size=n_b) < 0.9, rng.uniform(-300.0, 300.0, n_b), 0.0)
+    else:
+        span = draw(st.floats(0.0, 400.0))
+        a, b = (_layout(rng, layout, n, span, 0.0) for n in (n_a, n_b))
+    a, b = np.sort(a), np.sort(b)
+    if gap is not None:
+        b = b + (a[-1] - b[0] + gap)
+    return loc + s * a, loc + s * b, s * s
+
+
+class TestDirectPairSum:
+    """The banded direct pair sum against an untruncated extended-precision
+    sum. Its truncation alone costs at most N_a N_b e^-50 relative, about
+    2e-15 at 3000 x 3000 centers."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(band_inputs())
+    @example((np.array([0.0]), np.array([100.0]), 1.0))  # 0 in float64 only
+    def test_matches_exact_sum(self, inputs):
+        a, b, var_sum = inputs
+        exact = _exact_pair_sum(a, b, var_sum)
+        got = kde._direct_pair_sum(a, b, var_sum)
+        # Below float64's range a term can only round to a multiple of the
+        # smallest subnormal, or to 0.
+        floor = a.size * b.size * np.finfo(np.float64).smallest_subnormal
+        assert abs(got - exact) <= 1e-13 * exact + floor
+
+    @settings(max_examples=25, deadline=None)
+    @given(band_inputs())
+    def test_self_pair_matches_full_sum(self, inputs):
+        a, _, var_sum = inputs
+        half = kde._direct_pair_sum(a, a, var_sum)  # i < j only
+        full = kde._direct_pair_sum(a, a.copy(), var_sum)
+        assert abs(half - full) <= 1e-14 * full
+        assert abs(half - _exact_pair_sum(a, a, var_sum)) <= 1e-13 * full
+
+    @pytest.mark.parametrize("distance", [38.7, 100.0, 1e6])
+    def test_all_terms_underflow_to_exact_zero(self, distance):
+        # exp(-38.7^2 / 2) underflows in float64; the sum and the potential
+        # are exactly 0, so the cross entropy is infinite.
+        a = np.array([0.0, -1.0])
+        b = np.array([distance, distance + 0.5])
+        assert kde._direct_pair_sum(a, b, 1.0) == 0.0
+        pair = projected_pair(a, b, 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
+        assert cip(pair) == 0.0
+        assert renyi_cross_entropy(pair) == math.inf
+
+    def test_smallest_terms_survive(self):
+        # exp(-37.5^2 / 2) ~ 1e-305: near the float64 floor, yet not zero.
+        got = kde._direct_pair_sum(np.array([0.0]), np.array([37.5, 38.0]), 1.0)
+        assert got == pytest.approx(math.exp(-0.5 * 37.5**2) + math.exp(-0.5 * 38.0**2))
+
+    @pytest.mark.parametrize("case", ["narrow", "wide", "tail", "separated", "self"])
+    def test_block_budget_only_regroups(self, case, rng, monkeypatch):
+        a = np.sort(rng.normal(size=2000))
+        b = np.sort(rng.normal(loc=0.5, size=1500))
+        var_sum = 2e-6
+        if case == "wide":
+            var_sum = 0.1
+        elif case == "tail":
+            b = np.sort(np.concatenate([b[:50] * 100.0, b[:1000] * 1e-3]))
+        elif case == "separated":
+            b = b - b[0] + a[-1] + 0.04  # the closest pair is 28 s apart
+        elif case == "self":
+            b = a
+        default = kde._direct_pair_sum(a, b, var_sum)
+        monkeypatch.setattr(kde, "_BAND_BUDGET", 64)
+        assert kde._direct_pair_sum(a, b, var_sum) == pytest.approx(default, rel=1e-14)
+
+    @pytest.mark.parametrize("distance", [0.0, 5.0, 27.0, 30.0, 38.0])
+    def test_exp_never_sees_an_underflowing_exponent(self, distance, rng, monkeypatch):
+        # numpy's exp is 15 to 100 times slower on results that underflow or
+        # are subnormal, so the sum keeps every exponent above _EXP_FLOOR.
+        lowest = []
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def exp(x, *args, **kwargs):
+                lowest.append(float(np.min(x)))
+                return np.exp(x, *args, **kwargs)
+
+        s = 1e-3
+        a = np.sort(np.concatenate([rng.normal(size=1000), rng.uniform(-50.0, 50.0, 50)]))
+        b = np.sort(rng.normal(size=800)) * 0.1
+        b = b - b[0] + a[-1] + s * distance  # the closest pair is `distance` s apart
+        monkeypatch.setattr(kde, "np", RecordingNumpy())
+        assert kde._direct_pair_sum(a, b, s * s) > 0.0
+        assert kde._direct_pair_sum(a, a, s * s) > 0.0
+        assert min(lowest) >= kde._EXP_FLOOR
 
 
 class TestBinnedPairSum:
