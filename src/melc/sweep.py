@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LabeledDataset, UnitDirection, cosine_alignment, project
+from .kde import _lattice_cip_screen
 from .objectives import (
     best_bias_hinge,
     cip,
@@ -58,6 +59,10 @@ SWEEP_FIELDS = (
 # Best errors at or below this are treated as numerically zero Bayes risk:
 # relative errors are undefined there and absolute gaps are reported instead.
 SEPARABLE_TOL = 1e-9
+
+# Share of the angles above which the screened direction scan evaluates every
+# angle instead of the screen's candidates.
+_RECHECK_SHARE = 0.1
 
 # Bandwidths of buffer on each side of the centers before the bound check's
 # rescale to [0, 1].
@@ -173,19 +178,36 @@ def melc_direction(
 
     Cheaper than ``sweep`` when only the trained direction is needed, since
     no quadrature, hinge, or threshold scans are evaluated.
+
+    The angle is the first-index argmin of ``cip`` over the grid, as a scan
+    of every angle would return it. An all-angle lattice screen
+    (``kde._lattice_cip_screen``) estimates every angle's potential with an
+    error bound; only the angles whose bound interval reaches below the
+    smallest upper bound are evaluated in closed form. The full scan runs
+    instead where the screen does not apply, where more than
+    _RECHECK_SHARE of the angles remain, or where a closed-form value misses
+    its estimate by more than the bound.
     """
     if data.dim != 2:
         raise ValueError("direction scan requires a 2-D dataset")
     data.require_both_classes()
 
     grid = angle_grid(n)
-    values = []
-    for _, direction in grid:
-        minus, plus = project(data, direction)
-        pair = projected_pair(minus, plus, bandwidth_override, bandwidth_override)
-        values.append(cip(pair))
-    best = int(np.argmin(values))
-    return grid[best]
+
+    def potential(k):
+        minus, plus = project(data, grid[k][1])
+        return cip(projected_pair(minus, plus, bandwidth_override, bandwidth_override))
+
+    directions = np.array([direction.components for _, direction in grid])
+    screen = _lattice_cip_screen(*data.class_points(), directions, bandwidth_override)
+    if screen is not None:
+        estimates, bounds = screen
+        candidates = np.flatnonzero(estimates - bounds <= np.min(estimates + bounds))
+        if candidates.size <= _RECHECK_SHARE * n:
+            values = [potential(k) for k in candidates]
+            if np.all(np.abs(np.array(values) - estimates[candidates]) <= bounds[candidates]):
+                return grid[candidates[int(np.argmin(values))]]
+    return grid[int(np.argmin([potential(k) for k in range(n)]))]
 
 
 def bound_sweep(

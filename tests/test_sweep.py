@@ -1,11 +1,16 @@
 import dataclasses
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from melc import kde
 from melc.geometry import LabeledDataset, UnitDirection, cosine_alignment, project
-from melc.kde import silverman_bandwidth
+from melc.kde import DegenerateBandwidthError, silverman_bandwidth
 from melc.objectives import cip, projected_pair, renyi_entropy, rescaled_pair
 from melc.risk import bound_check, overlap_integral
 from melc.sweep import (
@@ -185,6 +190,149 @@ class TestBandwidthOverride:
         angle, direction = melc_direction(data, 24, bandwidth_override=sigma)
         assert angle == pairs[best][0]
         np.testing.assert_array_equal(direction.components, pairs[best][1].components)
+
+
+# The module, not the function that ``melc`` exports under the same name.
+sweep_module = importlib.import_module("melc.sweep")
+
+
+@st.composite
+def direction_inputs(draw, sigmas=(None, 0.3, 1e-3)):
+    """A 2-D dataset, an angle count and a bandwidth for the direction scan.
+
+    Each class has 2 to 3000 points (log-uniform): a rotated anisotropic
+    Gaussian, or a row of up to four clusters along x alternating with the
+    other class's (four-line-like). The classes may be pulled 10 to 40 apart,
+    which leaves many angles below the screen's absolute error floor, and
+    their points may be drawn with repetition from a few distinct ones. The
+    bandwidth is Silverman (None), 0.3 (the lattice screen) or 1e-3 (a
+    lattice too fine to build)."""
+    sizes = [int(round(2.0 ** draw(st.floats(1.0, math.log2(3000.0))))) for _ in range(2)]
+    layout = draw(st.sampled_from(["gauss", "lines"]))
+    separated = draw(st.booleans())
+    duplicated = draw(st.booleans())
+    n = draw(st.integers(2, 720))
+    sigma = draw(st.sampled_from(sigmas))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    classes = []
+    for label, size in enumerate(sizes):
+        if layout == "gauss":
+            theta = rng.uniform(0.0, math.pi)
+            rotation = np.array(
+                [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+            )
+            points = rng.standard_normal((size, 2)) * rng.uniform(0.05, 3.0, 2) @ rotation.T
+            points += rng.uniform(-2.0, 2.0, 2)
+        else:
+            x = 3.0 * (2 * rng.integers(0, 2, size) + label)
+            points = np.column_stack([x + rng.normal(0.0, 0.4, size), rng.normal(0.0, 0.3, size)])
+        if duplicated:
+            points = points[rng.integers(0, max(2, size // 8), size) % size]
+        classes.append(points)
+    if separated:
+        classes[1] += rng.uniform(10.0, 40.0) * np.array([1.0, rng.uniform(-0.5, 0.5)])
+    labels = np.concatenate([np.full(sizes[0], -1), np.full(sizes[1], 1)])
+    return LabeledDataset.from_arrays(np.vstack(classes), labels), n, sigma
+
+
+def scan_values(data, n, sigma):
+    """cip at every grid angle, each evaluated on its own."""
+    return [
+        cip(projected_pair(*project(data, direction), sigma, sigma))
+        for _, direction in angle_grid(n)
+    ]
+
+
+class TestScreenedDirection:
+    """``melc_direction`` screens all angles on a lattice and evaluates only
+    the candidates in closed form; it must return what a scan of every angle
+    returns."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(direction_inputs())
+    def test_returns_the_scan_argmin(self, inputs):
+        data, n, sigma = inputs
+        grid = angle_grid(n)
+        try:
+            values = scan_values(data, n, sigma)
+        except DegenerateBandwidthError as error:
+            with pytest.raises(DegenerateBandwidthError, match=f"^{error}$"):
+                melc_direction(data, n, bandwidth_override=sigma)
+            return
+        best = int(np.argmin(values))
+        angle, direction = melc_direction(data, n, bandwidth_override=sigma)
+        assert angle == grid[best][0]
+        np.testing.assert_array_equal(direction.components, grid[best][1].components)
+
+    @settings(max_examples=30, deadline=None)
+    @given(direction_inputs(sigmas=(None, 0.3)))
+    def test_estimates_within_their_bounds(self, inputs):
+        data, n, sigma = inputs
+        directions = np.array([direction.components for _, direction in angle_grid(n)])
+        screen = kde._lattice_cip_screen(*data.class_points(), directions, sigma)
+        if screen is None:  # a zero projected spread, or a lattice too fine
+            return
+        estimates, bounds = screen
+        errors = np.abs(estimates - np.array(scan_values(data, n, sigma)))
+        assert np.all(errors <= bounds)
+
+    def test_recheck_evaluates_few_angles(self, rng, monkeypatch):
+        data = gaussian_clouds(rng, (0, 0), (2, 1), 0.8, 300)
+        calls = []
+        monkeypatch.setattr(sweep_module, "cip", lambda pair: calls.append(pair) or cip(pair))
+        angle, _ = melc_direction(data, 180)
+        assert 1 <= len(calls) <= 18
+        assert angle == angle_grid(180)[int(np.argmin(scan_values(data, 180, None)))][0]
+
+    @pytest.mark.parametrize("sigma", [None, 0.3])
+    def test_failed_recheck_scans_every_angle(self, rng, monkeypatch, sigma):
+        data = gaussian_clouds(rng, (0, 0), (2, 1), 0.8, 300)
+        expected = melc_direction(data, 180, bandwidth_override=sigma)
+        calls = []
+        monkeypatch.setattr(sweep_module, "cip", lambda pair: calls.append(pair) or cip(pair))
+        monkeypatch.setattr(kde, "_SCREEN_MARGIN", 0.0)  # bounds below every error
+        angle, direction = melc_direction(data, 180, bandwidth_override=sigma)
+        assert len(calls) > 180  # the candidates, then every angle
+        assert angle == expected[0]
+        np.testing.assert_array_equal(direction.components, expected[1].components)
+
+    def test_zero_spread_class_raises_as_the_scan(self, rng):
+        minus = np.column_stack([np.zeros(50), rng.standard_normal(50)])
+        data = LabeledDataset.from_arrays(
+            np.vstack([minus, rng.standard_normal((60, 2)) + 1.0]), [-1] * 50 + [1] * 60
+        )
+        message = "^degenerate bandwidth: zero standard deviation$"
+        with pytest.raises(DegenerateBandwidthError, match=message):
+            melc_direction(data, 36)
+
+    def test_one_point_class(self, rng):
+        points = np.vstack([rng.standard_normal((1, 2)), rng.standard_normal((60, 2)) + 1.0])
+        data = LabeledDataset.from_arrays(points, [-1] + [1] * 60)
+        message = "^degenerate bandwidth: need at least 2 samples$"
+        with pytest.raises(DegenerateBandwidthError, match=message):
+            melc_direction(data, 36)
+        best = angle_grid(36)[int(np.argmin(scan_values(data, 36, 0.3)))]
+        angle, direction = melc_direction(data, 36, bandwidth_override=0.3)
+        assert angle == best[0]
+        np.testing.assert_array_equal(direction.components, best[1].components)
+
+    def test_memory_within_1mb_of_the_scan(self, monkeypatch):
+        rng = np.random.default_rng(600_000)
+        data = gaussian_clouds(rng, (0, 0), (2, 2), 1.0, 2000)
+        directions = np.array([direction.components for _, direction in angle_grid(720)])
+        assert kde._lattice_cip_screen(*data.class_points(), directions) is not None
+
+        def traced_peak():
+            tracemalloc.start()
+            try:
+                melc_direction(data, 720)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        screened = traced_peak()
+        monkeypatch.setattr(kde, "_SCREEN_MAX_NODES", 0)  # every angle in closed form
+        assert screened <= traced_peak() + 1_000_000
 
 
 class TestBoundSweep:
