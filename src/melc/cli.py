@@ -12,6 +12,9 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+
+import numpy as np
+
 from .datasets import (
     DATASET_NAMES,
     GENERATOR_NAME,
@@ -281,9 +284,7 @@ def cmd_classify(config: RunConfig) -> int:
     model = build_multithreshold_model(pair, direction, config.grid_points)
     predictions = classify(model, test.points)
     with open(config.output, "w", encoding="utf-8") as handle:
-        handle.write("prediction\n")
-        for label in predictions:
-            handle.write(f"{int(label):+d}\n")
+        handle.write("prediction\n" + "".join(np.where(predictions > 0, "+1\n", "-1\n").tolist()))
     summary = {
         "config": _config_metadata(config),
         "angle_rad": angle,

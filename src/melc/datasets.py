@@ -7,6 +7,7 @@ generated file.
 """
 
 import csv
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,6 @@ __all__ = [
 
 GENERATOR_NAME = "numpy-pcg64"
 GENERATOR_VERSION = 1
-
-_PCA_TOL = 1e-9
-_PCA_MAX_ITER = 10_000
 
 # (mean, sigma, label) per radial Gaussian component. The two-cloud benchmark
 # uses unit clouds at distance 2*sqrt(2); the in-line benchmark alternates
@@ -148,35 +146,79 @@ def save_libsvm(data: LabeledDataset, path):
             handle.write(" ".join(parts) + "\n")
 
 
+# One cell of a CSV line under the csv module's default dialect: a quoted
+# part, where "" stands for one quote, then the rest up to the next comma; or
+# a plain run up to the next comma.
+_CELL = re.compile(r'(?:"((?:[^"]|"")*)"?([^,]*)|([^,]*))(,?)')
+
+
+def _cells(line: str) -> list[str]:
+    """The cells of one nonempty CSV line, split and unquoted as
+    ``np.loadtxt(..., delimiter=",", quotechar='"')`` reads them."""
+    cells, pos = [], 0
+    while True:
+        match = _CELL.match(line, pos)
+        quoted, tail, plain, comma = match.groups()
+        cells.append(plain if quoted is None else quoted.replace('""', '"') + tail)
+        if not comma:
+            return cells
+        pos = match.end()
+
+
+def _records(lines):
+    """(line number, numbers or None when a cell is not numeric) for every
+    line that is neither blank nor a '#' comment."""
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        cells = _cells(line)
+        if cells[0].lstrip().startswith("#"):
+            continue
+        try:
+            yield lineno, [float(cell) for cell in cells]  # float() ignores blanks
+        except ValueError:
+            yield lineno, None
+
+
+def _checked_rows(path, lines) -> list[list[float]]:
+    """The numeric rows, one line at a time; raises the error of the first
+    line that is ragged or has a non-numeric cell past the header."""
+    rows = []
+    for lineno, row in _records(lines):
+        if row is None:
+            if rows:
+                raise ValueError(f"{path}: non-numeric cell on line {lineno}")
+        elif rows and len(row) != len(rows[0]):
+            raise ValueError(f"{path}: ragged row on line {lineno}")
+        else:
+            if not rows and len(row) < 2:
+                raise ValueError(f"{path}: need at least one feature and a label")
+            rows.append(row)
+    return rows
+
+
 def load_csv(path, label_column: int | None = None) -> LabeledDataset:
     """Load a rectangular numeric CSV; one designated column holds labels.
 
     ``label_column`` defaults to the last column. Labels may be -1/+1 or 0/1
-    (0 maps to -1). A leading non-numeric header row and '#'-prefixed comment
-    lines are skipped.
+    (0 maps to -1). Leading non-numeric header rows and '#'-prefixed comment
+    lines are skipped. ``np.loadtxt`` parses the rows from the first numeric
+    one on; a file it rejects is read again line by line, which accepts what
+    Python's ``float`` does and names the first ragged or non-numeric line.
     """
-    rows = []
-    width = None
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        for lineno, cells in enumerate(csv.reader(handle), start=1):
-            if not cells or (cells[0].lstrip().startswith("#")):
-                continue
-            try:
-                row = list(map(float, cells))  # float() ignores surrounding blanks
-            except ValueError:
-                if width is None:
-                    continue  # header row
-                raise ValueError(f"{path}: non-numeric cell on line {lineno}") from None
-            if width is None:
-                width = len(row)
-                if width < 2:
-                    raise ValueError(f"{path}: need at least one feature and a label")
-            elif len(row) != width:
-                raise ValueError(f"{path}: ragged row on line {lineno}")
-            rows.append(row)
-    if not rows:
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
+    first = next((lineno for lineno, row in _records(lines) if row is not None), None)
+    if first is None:
         raise ValueError(f"{path}: empty dataset file")
-    table = np.asarray(rows)
+    try:
+        table = np.loadtxt(
+            lines[first - 1 :], delimiter=",", quotechar='"', comments=None, ndmin=2
+        )
+    except ValueError:
+        table = np.asarray(_checked_rows(path, lines))
+    if table.shape[1] < 2:
+        raise ValueError(f"{path}: need at least one feature and a label")
     column = table.shape[1] - 1 if label_column is None else label_column
     if not 0 <= column < table.shape[1]:
         raise ValueError(f"{path}: label column {column} out of range")
@@ -198,32 +240,14 @@ def save_csv(data: LabeledDataset, path, metadata: dict | None = None):
             writer.writerow([repr(float(value)) for value in point] + [int(label)])
 
 
-def _power_iterate(cov: np.ndarray, start: np.ndarray, orthogonal_to=None):
-    v = start / np.linalg.norm(start)
-    for _ in range(_PCA_MAX_ITER):
-        w = cov @ v
-        if orthogonal_to is not None:
-            w -= (w @ orthogonal_to) * orthogonal_to
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return v, 0.0  # start vector already spans a null direction
-        w /= norm
-        if w @ v < 0:
-            w = -w
-        if np.linalg.norm(w - v) <= _PCA_TOL:
-            return w, float(w @ cov @ w)
-        v = w
-    raise RuntimeError(
-        f"power iteration did not converge within {_PCA_MAX_ITER} iterations"
-    )
-
-
 def pca_top2(data: LabeledDataset) -> tuple[LabeledDataset, np.ndarray]:
     """Embed the dataset on its top two principal components.
 
-    Components come from power iteration with deflation on the covariance of
-    the centered points (tolerance 1e-9). Returns the 2-D dataset and a
-    (2, dim) array of the unit-norm, mutually orthogonal components.
+    Components are the eigenvectors of the two largest eigenvalues of the
+    covariance of the centered points (``np.linalg.eigh``), each signed so
+    that its entry of largest magnitude, the first one on a tie, is
+    positive. Returns the 2-D dataset and a (2, dim) array of the unit-norm,
+    mutually orthogonal components.
     """
     if data.dim < 2:
         raise ValueError("need at least 2 dimensions to embed")
@@ -231,10 +255,9 @@ def pca_top2(data: LabeledDataset) -> tuple[LabeledDataset, np.ndarray]:
         raise ValueError("need at least 3 points to embed")
     centered = data.points - data.points.mean(axis=0)
     cov = (centered.T @ centered) / centered.shape[0]
-    rng = np.random.default_rng(0x9E3779B9)
-    first, top_value = _power_iterate(cov, rng.standard_normal(data.dim))
-    deflated = cov - top_value * np.outer(first, first)
-    second, _ = _power_iterate(deflated, rng.standard_normal(data.dim), orthogonal_to=first)
-    components = np.vstack([first, second])
+    _, vectors = np.linalg.eigh(cov)  # ascending eigenvalues
+    components = vectors[:, [-1, -2]].T
+    lead = components[np.arange(2), np.argmax(np.abs(components), axis=1)]
+    components *= np.where(lead < 0, -1.0, 1.0)[:, None]
     coords = centered @ components.T
     return LabeledDataset.from_arrays(coords, data.labels), components

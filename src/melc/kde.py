@@ -29,8 +29,10 @@ kept only where it is far below the result:
   against the bandwidth (at most 12 terms reach a remainder of 1e-17 of a
   kernel's peak). Its error is about 1e-16 of the peak density at every node.
 
-``kde_eval`` and ``eval_on_sorted_grid`` are always direct: threshold
-extraction needs the sign of a density difference in the tails.
+``kde_eval`` and ``eval_on_sorted_grid`` are always direct, and ``kde_eval``
+truncates nothing. Threshold extraction (``melc.risk``) reads the sign of a
+density difference from binned densities and windowed sums only where it is
+certain, and asks these two for the rest.
 
 ``_lattice_cip_screen`` estimates the cross information potential of two
 2-D classes projected on every direction of an angle grid at once, with an
@@ -175,6 +177,9 @@ def silverman_bandwidth(samples) -> float:
 
     Uses the population (divide-by-N) standard deviation. Raises
     ``DegenerateBandwidthError`` for fewer than two samples or zero spread.
+    A spread within the rounding of the mean, N eps times the largest
+    magnitude, counts as zero: equal samples have it or not depending on
+    how their mean rounds.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size < 2:
@@ -182,7 +187,8 @@ def silverman_bandwidth(samples) -> float:
             "degenerate bandwidth: need at least 2 samples"
         )
     std = float(samples.std())
-    if std <= 0.0:
+    rounding = samples.size * np.finfo(np.float64).eps * float(np.max(np.abs(samples)))
+    if std <= rounding:
         raise DegenerateBandwidthError("degenerate bandwidth: zero standard deviation")
     return _silverman_factor(samples.size) * std
 
@@ -223,19 +229,23 @@ def eval_on_sorted_grid(f: Kde1d, grid: np.ndarray) -> np.ndarray:
     centers = np.sort(f.centers)
     reach = _CUTOFF_STDS * f.bandwidth
     inv2s2 = 0.5 / (f.bandwidth * f.bandwidth)
-    scratch = np.empty(min(_CHUNK, centers.size) * grid.size)
+    scratch = np.empty(min(_CHUNK, centers.size) * max(grid.size, 2))
     for i0 in range(0, centers.size, _CHUNK):
         block = centers[i0 : i0 + _CHUNK]
         lo = np.searchsorted(grid, block[0] - reach, side="left")
         hi = np.searchsorted(grid, block[-1] + reach, side="right")
         if hi <= lo:
             continue
-        w = scratch[: block.size * (hi - lo)].reshape(block.size, hi - lo)
-        np.subtract(block[:, None], grid[None, lo:hi], out=w)
+        # numpy sums a one-column block pairwise and a wider one row by row;
+        # a repeated node keeps every sum in center order, so a node's value
+        # does not depend on which other nodes are evaluated with it.
+        nodes = grid[lo:hi] if hi - lo > 1 else np.repeat(grid[lo], 2)
+        w = scratch[: block.size * nodes.size].reshape(block.size, nodes.size)
+        np.subtract(block[:, None], nodes[None, :], out=w)
         np.square(w, out=w)
         w *= -inv2s2
         np.exp(w, out=w)
-        out[lo:hi] += w.sum(axis=0)
+        out[lo:hi] += w.sum(axis=0)[: hi - lo]
     out /= centers.size * f.bandwidth * _SQRT_2PI
     return out
 

@@ -111,9 +111,13 @@ def angle_grid(n: int) -> list[tuple[float, UnitDirection]]:
     The half-circle suffices: v and -v give the same projections up to sign
     and therefore the same objectives.
     """
+    return [(angle, UnitDirection.from_angle(angle)) for angle in _angles(n)]
+
+
+def _angles(n: int) -> list[float]:
     if n < 2:
         raise ValueError("need at least 2 angles")
-    return [(k * math.pi / n, UnitDirection.from_angle(k * math.pi / n)) for k in range(n)]
+    return [k * math.pi / n for k in range(n)]
 
 
 def sweep(
@@ -192,13 +196,17 @@ def melc_direction(
         raise ValueError("direction scan requires a 2-D dataset")
     data.require_both_classes()
 
-    grid = angle_grid(n)
+    angles = _angles(n)
+    # The rows are UnitDirection.from_angle's components bit for bit.
+    directions = np.array([[math.cos(angle), math.sin(angle)] for angle in angles])
+
+    def entry(k):
+        return angles[k], UnitDirection.from_angle(angles[k])
 
     def potential(k):
-        minus, plus = project(data, grid[k][1])
+        minus, plus = project(data, entry(k)[1])
         return cip(projected_pair(minus, plus, bandwidth_override, bandwidth_override))
 
-    directions = np.array([direction.components for _, direction in grid])
     screen = _lattice_cip_screen(*data.class_points(), directions, bandwidth_override)
     if screen is not None:
         estimates, bounds = screen
@@ -206,8 +214,8 @@ def melc_direction(
         if candidates.size <= _RECHECK_SHARE * n:
             values = [potential(k) for k in candidates]
             if np.all(np.abs(np.array(values) - estimates[candidates]) <= bounds[candidates]):
-                return grid[candidates[int(np.argmin(values))]]
-    return grid[int(np.argmin([potential(k) for k in range(n)]))]
+                return entry(candidates[int(np.argmin(values))])
+    return entry(int(np.argmin([potential(k) for k in range(n)])))
 
 
 def bound_sweep(

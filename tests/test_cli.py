@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +214,42 @@ class TestClassifyCommand:
         assert lines[0] == "prediction"
         assert len(lines) == 121  # header + 120 test rows
         assert set(lines[1:]) <= {"+1", "-1"}
+
+
+FIXTURE = Path(__file__).parent / "data" / "classify_two_gauss_43_44.json"
+
+
+class TestClassifyRegression:
+    """Seeded classify runs against outputs recorded with the all-direct
+    threshold scan and kde_eval bisection: two-gauss seed 43 to train, seed
+    44 to test, 2000 points a class, 720 angles."""
+
+    @pytest.mark.parametrize("case, sigma", [("silverman", None), ("sigma_1e-3", "0.001")])
+    def test_matches_recorded_outputs(self, tmp_path, case, sigma, capsys):
+        files = []
+        for seed in (43, 44):
+            path = tmp_path / f"two-gauss-{seed}.csv"
+            assert run(["datagen", "--name", "two-gauss", "--seed", seed, "--n", 2000,
+                        "--out", path]) == 0
+            files.append(path)
+        out = tmp_path / f"{case}.csv"
+        argv = ["classify", "--train", files[0], "--test", files[1], "--out", out,
+                "--angles", 720]
+        assert run(argv + (["--sigma", sigma] if sigma else [])) == 0
+        capsys.readouterr()
+        side = json.loads(out.with_suffix(".json").read_text())
+        labels = out.read_text().split()[1:]
+
+        def fmt(value):
+            return f"{value:.12g}"
+
+        want = json.loads(FIXTURE.read_text())[case]
+        assert fmt(side["angle_rad"]) == want["angle_rad"]
+        assert [fmt(t) for t in side["thresholds"]] == want["thresholds"]
+        assert side["leftmost_sign"] == want["leftmost_sign"]
+        assert [fmt(b) for b in side["bandwidths"]] == want["bandwidths"]
+        assert fmt(side["balanced_error"]) == want["balanced_error"]
+        assert "".join("+" if label == "+1" else "-" for label in labels) == want["predictions"]
 
 
 class TestErrorPaths:

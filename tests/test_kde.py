@@ -44,6 +44,21 @@ class TestSilvermanBandwidth:
         with pytest.raises(DegenerateBandwidthError):
             silverman_bandwidth(np.array([1.0]))
 
+    @pytest.mark.parametrize("value", [0.0, 0.3, -2.7, 1e6])
+    def test_rounding_spread_counts_as_zero(self, value):
+        # Fifty copies of 0.3 have a mean of 0.30000000000000004 and a std of
+        # 5.6e-17, the rounding of the mean, not a spread.
+        with pytest.raises(
+            DegenerateBandwidthError, match="^degenerate bandwidth: zero standard deviation$"
+        ):
+            silverman_bandwidth(np.full(50, value))
+
+    def test_tiny_real_spread_gets_a_bandwidth(self, rng):
+        samples = 0.3 + 1e-9 * rng.standard_normal(50)
+        expected = (4.0 / 150.0) ** 0.2 * samples.std()
+        assert silverman_bandwidth(samples) == pytest.approx(expected, rel=1e-12)
+        assert 1e-10 < silverman_bandwidth(samples) < 1e-9
+
     def test_scaling_homogeneity(self, rng):
         samples = rng.normal(size=40)
         base = silverman_bandwidth(samples)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from melc import risk
 from melc.geometry import LabeledDataset, UnitDirection, project
 from melc.kde import (
+    DegenerateBandwidthError,
     Kde1d,
     binned_density_on_grid,
     eval_on_sorted_grid,
@@ -478,3 +479,191 @@ class TestBinnedOverlap:
         expected = direct_overlap(pair)
         assert expected < 1e-3
         assert overlap_integral(pair) == expected
+
+
+def direct_grid_signs(pair, grid):
+    """The all-direct threshold scan: sign(f_plus - f_minus) at every node."""
+    return np.sign(eval_on_sorted_grid(pair.f_plus, grid) - eval_on_sorted_grid(pair.f_minus, grid))
+
+
+def kde_eval_bisection(pair, lo, hi, positive_left):
+    """Joint bisection with the untruncated kde_eval at every midpoint."""
+    for _ in range(200):
+        if not np.any(hi - lo > risk.DEFAULT_REFINE_TOL):
+            break
+        mid = 0.5 * (lo + hi)
+        g_mid = kde_eval(pair.f_plus, mid) - kde_eval(pair.f_minus, mid)
+        go_right = (g_mid > 0) == positive_left
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(go_right, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def all_direct_model(pair, grid_points=DEFAULT_GRID_POINTS):
+    """Thresholds and leftmost sign from the all-direct scan and kde_eval
+    bisection."""
+    window = risk._pair_window(pair)
+    grid = np.linspace(window[0], window[1], grid_points)
+    signs = direct_grid_signs(pair, grid)
+    nonzero = np.flatnonzero(signs != 0)
+    if nonzero.size == 0:
+        return np.empty(0), 1
+    lo, hi, positive, exact = [], [], [], []
+    for left, right in zip(nonzero[:-1], nonzero[1:]):
+        if signs[left] == signs[right]:
+            continue
+        if right - left > 1:
+            exact.append(0.5 * (grid[left] + grid[right]))
+        else:
+            lo.append(grid[left])
+            hi.append(grid[right])
+            positive.append(signs[left] > 0)
+    roots = []
+    if lo:
+        roots = kde_eval_bisection(pair, np.array(lo), np.array(hi), np.array(positive)).tolist()
+    return np.sort(np.asarray(roots + exact)), int(signs[nonzero[0]])
+
+
+@st.composite
+def threshold_pairs(draw):
+    """Projected pairs of every kind the scan meets: wide and narrow
+    bandwidths, duplicated and separated centers, identical mixtures, and one
+    density binned while the other is not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["clouds", "duplicated", "identical", "mixed", "interleaved"]))
+    n_minus, n_plus = draw(st.integers(2, 1500)), draw(st.integers(2, 1500))
+    distance = draw(st.sampled_from([0.0, 0.5, 2.0, 6.0, 40.0]))
+    minus = rng.normal(size=n_minus)
+    plus = rng.normal(loc=distance, size=n_plus)
+    if kind == "duplicated":
+        minus = np.round(minus, 1)
+        plus = np.repeat(plus[: max(1, n_plus // 3)], 3)
+    elif kind == "interleaved":
+        plus = np.concatenate([minus[: n_plus // 2] + 0.05, plus])
+    sigma_minus = draw(st.sampled_from([None, 0.3, 0.02, 1e-3, 1e-5]))
+    sigma_plus = sigma_minus if kind != "mixed" else draw(st.sampled_from([None, 0.3, 1e-3]))
+    if kind == "identical":
+        plus, sigma_plus = minus.copy(), sigma_minus
+    try:
+        return projected_pair(minus, plus, sigma_minus, sigma_plus)
+    except DegenerateBandwidthError:  # a few equal points have no Silverman spread
+        return projected_pair(minus, plus, 0.3, 0.3)
+
+
+class TestCertifiedThresholdScan:
+    """The threshold scan reads signs from binned densities only where they
+    are certain; the rule it returns is the all-direct scan's, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(threshold_pairs(), st.sampled_from([DEFAULT_GRID_POINTS, 1024]))
+    def test_signs_equal_the_direct_scan(self, pair, grid_points):
+        window = risk._pair_window(pair)
+        grid = np.linspace(window[0], window[1], grid_points)
+        np.testing.assert_array_equal(risk._grid_signs(pair, grid), direct_grid_signs(pair, grid))
+
+    @settings(max_examples=40, deadline=None)
+    @given(threshold_pairs())
+    def test_model_equals_the_all_direct_model(self, pair):
+        model = build_multithreshold_model(pair, X_AXIS)
+        thresholds, leftmost = all_direct_model(pair)
+        assert model.leftmost_sign == leftmost
+        np.testing.assert_array_equal(model.thresholds, thresholds)
+
+    @pytest.mark.parametrize("sigma", [None, 0.3, 1e-3])
+    def test_few_nodes_are_evaluated_directly(self, sigma, rng, monkeypatch):
+        pair = projected_pair(rng.normal(size=2000), rng.normal(loc=2.0, size=2000), sigma, sigma)
+        window = risk._pair_window(pair)
+        grid = np.linspace(window[0], window[1], DEFAULT_GRID_POINTS)
+        nodes = []
+
+        def direct(f, at):
+            nodes.append(at.size)
+            return eval_on_sorted_grid(f, at)
+
+        monkeypatch.setattr(risk, "eval_on_sorted_grid", direct)
+        risk._grid_signs(pair, grid)
+        binned = sigma != 1e-3  # at 1e-3 the kernels are narrower than the grid step
+        assert uses_binned_densities(pair) == binned
+        if binned:
+            assert max(nodes) < 0.2 * grid.size
+        else:
+            assert nodes == [grid.size, grid.size]
+
+    def test_margin_covers_far_offsets(self, rng):
+        # Far from the origin the nodes' rounding dominates the binned error.
+        for offset in (0.0, 1e4, 1e6):
+            pair = projected_pair(
+                rng.normal(loc=offset, size=3000), rng.normal(loc=offset + 0.5, size=3000), 0.2, 0.2
+            )
+            window = risk._pair_window(pair)
+            grid = np.linspace(window[0], window[1], DEFAULT_GRID_POINTS)
+            assert uses_binned_densities(pair)
+            np.testing.assert_array_equal(
+                risk._grid_signs(pair, grid), direct_grid_signs(pair, grid)
+            )
+
+
+class TestWindowedBisection:
+    """Bisection on per-bracket center windows returns kde_eval bisection's
+    thresholds bit for bit."""
+
+    @staticmethod
+    def brackets(pair):
+        window = risk._pair_window(pair)
+        grid = np.linspace(window[0], window[1], DEFAULT_GRID_POINTS)
+        signs = direct_grid_signs(pair, grid)
+        left = np.flatnonzero((signs[:-1] * signs[1:]) < 0)
+        return grid[left], grid[left + 1], signs[left] > 0
+
+    @pytest.mark.parametrize(
+        "sigma, n, distance",
+        [(None, 2000, 2.0), (0.3, 500, 1.0), (0.02, 1000, 0.5), (1e-3, 4000, 2.0), (1e-5, 1000, 1.0)],
+    )
+    def test_thresholds_equal_kde_eval_bisection(self, sigma, n, distance, rng):
+        pair = projected_pair(rng.normal(size=n), rng.normal(loc=distance, size=n), sigma, sigma)
+        lo, hi, positive = self.brackets(pair)
+        assert lo.size >= 1
+        expected = kde_eval_bisection(pair, lo, hi, positive)
+        np.testing.assert_array_equal(risk._bisect_roots(pair, lo, hi, positive), expected)
+
+    def test_underflowing_tails_keep_kde_eval_signs(self, rng):
+        # At sigma 1e-5 the grid step is hundreds of bandwidths: midpoints
+        # far from every center underflow to exactly 0 in kde_eval, and in
+        # some brackets one density is subnormal.
+        pair = projected_pair(rng.normal(size=300), rng.normal(loc=1.0, size=300), 1e-5, 1e-5)
+        lo, hi, positive = self.brackets(pair)
+        mid = 0.5 * (lo + hi)
+        assert np.any((kde_eval(pair.f_plus, mid) == 0) & (kde_eval(pair.f_minus, mid) == 0))
+        expected = kde_eval_bisection(pair, lo, hi, positive)
+        np.testing.assert_array_equal(risk._bisect_roots(pair, lo, hi, positive), expected)
+
+    def test_exact_ties_at_a_midpoint(self):
+        # Mirror-image classes tie exactly at 0, the first midpoint of
+        # [-1, 1]: kde_eval's difference is 0 there, while the windowed sums
+        # add the same terms in the opposite order and may differ in the last
+        # bit (seeds 10 and 18 among these).
+        lo, hi = np.array([-1.0]), np.array([1.0])
+        for seed in range(20):
+            centers = np.random.default_rng(seed).uniform(0.2, 1.5, size=7)
+            pair = ProjectedPair(Kde1d(-centers, 0.6), Kde1d(centers, 0.6))
+            assert kde_eval(pair.f_plus, 0.0) == kde_eval(pair.f_minus, 0.0)
+            positive = kde_eval(pair.f_plus, lo) > kde_eval(pair.f_minus, lo)
+            np.testing.assert_array_equal(
+                risk._bisect_roots(pair, lo, hi, positive),
+                kde_eval_bisection(pair, lo, hi, positive),
+            )
+
+    def test_exp_never_sees_an_underflowing_exponent(self, rng, monkeypatch):
+        pair = projected_pair(rng.normal(size=3000), rng.normal(loc=2.0, size=3000), 1e-3, 1e-3)
+        lo, hi, positive = self.brackets(pair)
+        smallest = []
+        real_exp = np.exp
+
+        def exp(x, *args, **kwargs):
+            smallest.append(float(np.min(x)))
+            return real_exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(risk.np, "exp", exp)
+        monkeypatch.setattr(risk, "kde_eval", lambda f, x: pytest.fail("kde_eval called"))
+        risk._bisect_roots(pair, lo, hi, positive)
+        assert smallest and min(smallest) >= -700.0

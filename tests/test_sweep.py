@@ -305,6 +305,18 @@ class TestScreenedDirection:
         with pytest.raises(DegenerateBandwidthError, match=message):
             melc_direction(data, 36)
 
+    @pytest.mark.parametrize("value", [0.0, 0.3])
+    def test_constant_class_raises_at_any_offset(self, rng, value):
+        # At angle 0 the minus class projects to fifty copies of `value`,
+        # whose std is 0 or the rounding of their mean.
+        minus = np.column_stack([np.full(50, value), rng.standard_normal(50)])
+        data = LabeledDataset.from_arrays(
+            np.vstack([minus, rng.standard_normal((50, 2)) + [2.0, 0.5]]), [-1] * 50 + [1] * 50
+        )
+        message = "^degenerate bandwidth: zero standard deviation$"
+        with pytest.raises(DegenerateBandwidthError, match=message):
+            melc_direction(data, 36)
+
     def test_one_point_class(self, rng):
         points = np.vstack([rng.standard_normal((1, 2)), rng.standard_normal((60, 2)) + 1.0])
         data = LabeledDataset.from_arrays(points, [-1] + [1] * 60)
