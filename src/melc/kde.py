@@ -29,10 +29,12 @@ kept only where it is far below the result:
   against the bandwidth (at most 12 terms reach a remainder of 1e-17 of a
   kernel's peak). Its error is about 1e-16 of the peak density at every node.
 
-``kde_eval`` and ``eval_on_sorted_grid`` are always direct, and ``kde_eval``
-truncates nothing. Threshold extraction (``melc.risk``) reads the sign of a
-density difference from binned densities and windowed sums only where it is
-certain, and asks these two for the rest.
+``kde_eval`` truncates nothing; the tests take it as the oracle.
+``eval_on_sorted_grid`` is always direct. ``_LogBand`` gives ln f, finite
+where f underflows, at one point of each of a set of intervals, from the
+centers within reach of the interval; it serves threshold extraction
+(``melc.risk``) and shares its windowed block loop, ``_Band``, with the
+direct pair sum.
 
 ``_lattice_cip_screen`` estimates the cross information potential of two
 2-D classes projected on every direction of an angle grid at once, with an
@@ -229,23 +231,20 @@ def eval_on_sorted_grid(f: Kde1d, grid: np.ndarray) -> np.ndarray:
     centers = np.sort(f.centers)
     reach = _CUTOFF_STDS * f.bandwidth
     inv2s2 = 0.5 / (f.bandwidth * f.bandwidth)
-    scratch = np.empty(min(_CHUNK, centers.size) * max(grid.size, 2))
+    scratch = np.empty(min(_CHUNK, centers.size) * grid.size)
     for i0 in range(0, centers.size, _CHUNK):
         block = centers[i0 : i0 + _CHUNK]
         lo = np.searchsorted(grid, block[0] - reach, side="left")
         hi = np.searchsorted(grid, block[-1] + reach, side="right")
         if hi <= lo:
             continue
-        # numpy sums a one-column block pairwise and a wider one row by row;
-        # a repeated node keeps every sum in center order, so a node's value
-        # does not depend on which other nodes are evaluated with it.
-        nodes = grid[lo:hi] if hi - lo > 1 else np.repeat(grid[lo], 2)
+        nodes = grid[lo:hi]
         w = scratch[: block.size * nodes.size].reshape(block.size, nodes.size)
         np.subtract(block[:, None], nodes[None, :], out=w)
         np.square(w, out=w)
         w *= -inv2s2
         np.exp(w, out=w)
-        out[lo:hi] += w.sum(axis=0)[: hi - lo]
+        out[lo:hi] += w.sum(axis=0)
     out /= centers.size * f.bandwidth * _SQRT_2PI
     return out
 
@@ -337,13 +336,11 @@ def _binned_density(f: Kde1d, grid: np.ndarray, terms: int) -> np.ndarray | None
     return density / (f.centers.size * step)
 
 
-def _min_pair_distance(a_sorted: np.ndarray, b_sorted: np.ndarray) -> float:
-    """Smallest |a_i - b_j| between two ascending arrays."""
-    pos = np.searchsorted(a_sorted, b_sorted)
+def _nearest_distances(a_sorted: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Distance from each x to its nearest entry of the ascending array."""
+    pos = np.searchsorted(a_sorted, x)
     padded = np.concatenate(([-np.inf], a_sorted, [np.inf]))
-    below = np.min(b_sorted - padded[pos])
-    above = np.min(padded[pos + 1] - b_sorted)
-    return max(float(min(below, above)), 0.0)
+    return np.minimum(x - padded[pos], padded[pos + 1] - x)
 
 
 def min_density_bound(f: Kde1d, g: Kde1d) -> float:
@@ -352,11 +349,85 @@ def min_density_bound(f: Kde1d, g: Kde1d) -> float:
     Every x lies at least half the smallest center distance d between the two
     mixtures away from all centers of one of them, and a mixture is at most
     its kernel's value at that distance there."""
-    half = 0.5 * _min_pair_distance(np.sort(f.centers), np.sort(g.centers))
+    half = 0.5 * float(_nearest_distances(np.sort(f.centers), g.centers).min())
     return max(
         math.exp(-0.5 * (half / h.bandwidth) ** 2) / (h.bandwidth * _SQRT_2PI)
         for h in (f, g)
     )
+
+
+class _Band:
+    """Windows of an ascending array ``a``, one per row: the ``counts[r]``
+    entries from ``a[first[r]]`` on. The rows go in blocks of about
+    _BAND_BUDGET terms, each as wide as its longest window, read from one
+    strided view of ``a`` padded with +inf."""
+
+    def __init__(self, a: np.ndarray, first: np.ndarray, counts: np.ndarray):
+        widest = int(counts.max(initial=0))
+        padded = np.concatenate([a, np.full(widest, np.inf)])
+        step = padded.itemsize
+        self.windows = as_strided(padded, (a.size + 1, widest), (step, step), writeable=False)
+        self.first = first
+        self.blocks = []
+        ends = np.cumsum(counts)
+        start = 0
+        while start < counts.size:
+            begin = ends[start] - counts[start]
+            stop = max(start + 1, int(np.searchsorted(ends, begin + _BAND_BUDGET, "right")))
+            width = int(counts[start:stop].max())
+            if width * (stop - start) > _BAND_BUDGET:
+                stop = start + max(1, _BAND_BUDGET // width)
+                width = int(counts[start:stop].max())
+            self.blocks.append((slice(start, stop), width))
+            start = stop
+
+    def squared_distances(self, targets: np.ndarray):
+        """Per block, yields (rows, w): the slice of rows and a fresh array
+        of (a_i - targets[r])^2 over row r's window, +inf past it."""
+        for rows, width in self.blocks:
+            w = self.windows[self.first[rows], :width]
+            w -= targets[rows, None]
+            np.multiply(w, w, out=w)
+            yield rows, w
+
+
+class _LogBand(_Band):
+    """ln f at one point of each of a set of ascending intervals [lo, hi]; a
+    grid node is an interval of zero width.
+
+    A point x of an interval whose nearest center lies at distance d_x has
+    every center farther than sqrt(d_x^2 + (_CUTOFF_STDS sigma)^2) below
+    e^-50 of its largest term. d_x is at most d + w/2, with d the distance
+    from the interval's middle to its nearest center and w its width, so the
+    centers within sqrt((d + w/2)^2 + (_CUTOFF_STDS sigma)^2) + w/2 of the
+    middle cover every point of the interval. They are found once, here.
+    """
+
+    def __init__(self, f: Kde1d, lo: np.ndarray, hi: np.ndarray):
+        centers = np.sort(f.centers)
+        middle, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nearest = _nearest_distances(centers, middle)
+        reach = np.hypot(nearest + half, _CUTOFF_STDS * f.bandwidth) + half
+        first = np.searchsorted(centers, middle - reach, side="left")
+        last = np.searchsorted(centers, middle + reach, side="right")
+        super().__init__(centers, first, last - first)
+        self.inv2s2 = 0.5 / (f.bandwidth * f.bandwidth)
+        self.log_norm = math.log(centers.size * f.bandwidth * _SQRT_2PI)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """ln f at x[r], a point of interval r. Each row's exponents are
+        taken relative to its largest and floored at _EXP_FLOOR, so exp never
+        underflows and ln f is finite where f itself underflows; the floored
+        terms are below the rounding of the row sum, which is at least 1."""
+        out = np.empty(x.size)
+        for rows, w in self.squared_distances(x):
+            w *= -self.inv2s2
+            top = w.max(axis=1)
+            w -= top[:, None]
+            np.maximum(w, _EXP_FLOOR, out=w)
+            np.exp(w, out=w)
+            out[rows] = top + np.log(w.sum(axis=1))
+        return out - self.log_norm
 
 
 def _direct_pair_sum(a: np.ndarray, b: np.ndarray, var_sum: float) -> float:
@@ -365,16 +436,14 @@ def _direct_pair_sum(a: np.ndarray, b: np.ndarray, var_sum: float) -> float:
     distance; the others add less than 1e-15 of the dominant term.
 
     Each target b_j has a window of centers within that reach, found by
-    ``searchsorted``. Targets go in blocks of about _BAND_BUDGET terms, each
-    block as wide as its longest window and read from one strided view of the
-    padded ``a``. Terms past a row's window are clamped at the reach and their
-    known total is subtracted, so exp never sees an exponent below
-    _EXP_FLOOR: where the reach's would be, all exponents are taken relative
-    to the closest pair's and the sum is scaled back. A self pair (``b is
-    a``) sums i < j only.
+    ``searchsorted`` and summed by ``_Band``. Terms past a row's window are
+    clamped at the reach and their known total is subtracted, so exp never
+    sees an exponent below _EXP_FLOOR: where the reach's would be, all
+    exponents are taken relative to the closest pair's and the sum is scaled
+    back. A self pair (``b is a``) sums i < j only.
     """
     inv2s2 = 0.5 / var_sum
-    d_min = 0.0 if b is a else _min_pair_distance(a, b)
+    d_min = 0.0 if b is a else float(_nearest_distances(a, b).min())
     reach = d_min + _CUTOFF_STDS * math.sqrt(var_sum)
     reach2 = reach * reach
     shift, scale = 0.0, 1.0
@@ -390,31 +459,16 @@ def _direct_pair_sum(a: np.ndarray, b: np.ndarray, var_sum: float) -> float:
         lo = np.searchsorted(a, b - reach, side="left")
     counts = hi - lo
     rows = np.flatnonzero(counts)
-    targets, lo, counts = b[rows], lo[rows], counts[rows]
-    widest = int(counts.max(initial=0))
-    padded = np.concatenate([a, np.full(widest, np.inf)])
-    step = padded.itemsize
-    windows = as_strided(padded, (a.size + 1, widest), (step, step), writeable=False)
-    ends = np.cumsum(counts)
-    total, clamped, start = 0.0, 0, 0
-    while start < rows.size:
-        first = ends[start] - counts[start]
-        stop = max(start + 1, int(np.searchsorted(ends, first + _BAND_BUDGET, "right")))
-        width = int(counts[start:stop].max())
-        if width * (stop - start) > _BAND_BUDGET:
-            stop = start + max(1, _BAND_BUDGET // width)
-            width = int(counts[start:stop].max())
-        w = windows[lo[start:stop], :width]
-        w -= targets[start:stop, None]
-        np.multiply(w, w, out=w)
+    counts = counts[rows]
+    total, clamped = 0.0, 0
+    for block, w in _Band(a, lo[rows], counts).squared_distances(b[rows]):
         np.minimum(w, reach2, out=w)
         w *= -inv2s2
         if shift:
             w -= shift
         np.exp(w, out=w)
         total += float(w.sum())
-        clamped += w.size - int(ends[stop - 1] - first)
-        start = stop
+        clamped += w.size - int(counts[block].sum())
     if clamped:
         total -= clamped * math.exp(reach2 * -inv2s2 - shift)
     total *= scale

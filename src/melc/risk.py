@@ -13,14 +13,12 @@ direct evaluator: -ln(overlap) in the entropy bound then stays within 1e-12.
 Where the center distances alone bound the overlap below 1e-3, the direct
 evaluator runs from the start.
 
-Threshold extraction returns exactly the rule the direct evaluator gives.
-The grid scan reads the sign of f_plus - f_minus from the binned densities
-only at nodes where the difference exceeds a margin of 1e-12 of the larger
-kernel peak, 1000 times the binned error; every other node, the far tails
-and the nodes near a crossing among them, is evaluated directly. Bisection
-evaluates each bracket's midpoints on the centers within reach of it, with
-exponents taken relative to the largest, and asks the untruncated
-``kde_eval`` only where those values leave the sign in doubt.
+Threshold extraction reads the sign of f_plus - f_minus from the binned
+densities only at grid nodes where the difference exceeds a margin of 1e-12
+of the larger kernel peak, 1000 times the binned error. Every other node and
+every bisection midpoint takes the sign of ln f_plus - ln f_minus from the
+log-domain band evaluator of ``melc.kde``, which stays finite where the
+densities underflow, so the rule is defined at any bandwidth.
 """
 
 import math
@@ -29,15 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import AffineMap1d, LabeledDataset, UnitDirection, project
-from .kde import (
-    _CUTOFF_STDS,
-    _EXP_FLOOR,
-    Kde1d,
-    binned_density_on_grid,
-    eval_on_sorted_grid,
-    kde_eval,
-    min_density_bound,
-)
+from .kde import _LogBand, binned_density_on_grid, eval_on_sorted_grid, min_density_bound
 from .objectives import ProjectedPair, projected_pair, renyi_cross_entropy
 
 __all__ = [
@@ -77,12 +67,10 @@ _BINNED_OVERLAP_MIN = 1e-3
 # offsets |x| far beyond sigma, which the second term covers 1000 times over.
 _SIGN_MARGIN = 1e-12
 _SIGN_OFFSET = 16.0
-# Bisection takes the sign of ln f_plus - ln f_minus from the windowed sums
-# where the two differ by more than this, well above their rounding against
-# kde_eval, and where the larger is above _SIGN_FLOOR, so that kde_eval's
-# value of it is a normal number; elsewhere it asks kde_eval.
-_SIGN_TIE = 1e-11
-_SIGN_FLOOR = -690.0
+# Two log densities within this many units of rounding of their magnitudes
+# tie, as equal densities do: the same terms summed in another order, as
+# mirror-image classes give them, differ by a few.
+_TIE_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -209,81 +197,35 @@ def eaa_bayes_risk_for_direction(
     )
 
 
-class _Windows:
-    """The centers of one mixture within reach of each bisection bracket.
-
-    A point x of a bracket whose nearest center lies at distance d_x has
-    every center farther than d_x + _CUTOFF_STDS bandwidths below e^-50 of
-    its largest term. d_x exceeds the distance from the bracket's middle by
-    at most the half width, so the centers within that distance plus the
-    width plus the cutoff of the middle cover every point of the bracket.
-    Each row holds as many sorted centers from its window's start as the
-    widest window; the surplus only adds smaller terms.
-    """
-
-    def __init__(self, f: Kde1d, lo: np.ndarray, hi: np.ndarray):
-        centers = np.sort(f.centers)
-        middle = 0.5 * (lo + hi)
-        padded = np.concatenate(([-np.inf], centers, [np.inf]))
-        above = np.searchsorted(centers, middle) + 1
-        nearest = np.minimum(middle - padded[above - 1], padded[above] - middle)
-        reach = nearest + (hi - lo) + _CUTOFF_STDS * f.bandwidth
-        first = np.searchsorted(centers, middle - reach, side="left")
-        last = np.searchsorted(centers, middle + reach, side="right")
-        width = int(np.max(last - first))
-        rows = np.concatenate([centers, np.full(width, np.inf)])
-        self.centers = rows[first[:, None] + np.arange(width)]
-        self.inv2s2 = 0.5 / (f.bandwidth * f.bandwidth)
-        self.log_norm = math.log(centers.size * f.bandwidth * math.sqrt(2.0 * math.pi))
-
-    def log_density(self, x: np.ndarray) -> np.ndarray:
-        """ln f at one point per bracket. Each row's exponents, ``kde_eval``'s
-        bit for bit, are taken relative to the largest and floored at
-        _EXP_FLOOR, so exp never underflows; the floored terms are below the
-        rounding of the row sum."""
-        w = self.centers - x[:, None]
-        np.square(w, out=w)
-        w *= -self.inv2s2
-        top = w.max(axis=1)
-        w -= top[:, None]
-        np.maximum(w, _EXP_FLOOR, out=w)
-        np.exp(w, out=w)
-        return top + np.log(w.sum(axis=1)) - self.log_norm
+def _signs(log_plus: np.ndarray, log_minus: np.ndarray) -> np.ndarray:
+    """sign(f_plus - f_minus) from the two log densities; 0 where they agree
+    within _TIE_ULPS units of rounding of their magnitudes."""
+    diff = log_plus - log_minus
+    scale = np.maximum(1.0, np.maximum(np.abs(log_plus), np.abs(log_minus)))
+    return np.where(np.abs(diff) > _TIE_ULPS * np.finfo(float).eps * scale, np.sign(diff), 0.0)
 
 
 def _bisect_roots(p: ProjectedPair, lo, hi, positive_left):
     """Refine sign-change brackets of f_plus - f_minus by joint bisection.
 
-    Each midpoint gets the sign ``kde_eval`` gives f_plus - f_minus there.
-    The windowed log densities decide it where they differ by more than
-    _SIGN_TIE and the larger is above _SIGN_FLOOR; the few other midpoints
-    are evaluated by ``kde_eval``.
+    Each bracket's centers are found once and every midpoint takes the sign
+    of ln f_plus - ln f_minus on them; a tie counts as not positive.
     """
-    windows = _Windows(p.f_plus, lo, hi), _Windows(p.f_minus, lo, hi)
+    bands = _LogBand(p.f_plus, lo, hi), _LogBand(p.f_minus, lo, hi)
     for _ in range(200):  # brackets halve each step; 200 outruns float64
         if not np.any(hi - lo > DEFAULT_REFINE_TOL):
             break
         mid = 0.5 * (lo + hi)
-        log_plus, log_minus = (w.log_density(mid) for w in windows)
-        above = log_plus > log_minus
-        doubt = np.flatnonzero(
-            (np.abs(log_plus - log_minus) <= _SIGN_TIE)
-            | (np.maximum(log_plus, log_minus) <= _SIGN_FLOOR)
-        )
-        if doubt.size:
-            at = mid[doubt]
-            above[doubt] = kde_eval(p.f_plus, at) - kde_eval(p.f_minus, at) > 0
-        go_right = above == positive_left
+        go_right = (_signs(*(band(mid) for band in bands)) > 0) == positive_left
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)
     return 0.5 * (lo + hi)
 
 
 def _grid_signs(p: ProjectedPair, grid: np.ndarray) -> np.ndarray:
-    """The sign of f_plus - f_minus at every node, as the direct evaluator
-    gives it. Where both densities are binned, a node whose binned difference
-    exceeds the margin keeps the binned sign; the others are evaluated
-    directly, which reproduces their direct values bit for bit."""
+    """The sign of f_plus - f_minus at every node. Where both densities are
+    binned, a node whose binned difference exceeds the margin keeps the
+    binned sign; the others take the sign of ln f_plus - ln f_minus."""
     signs = np.zeros(grid.size)
     binned = [binned_density_on_grid(f, grid) for f in (p.f_plus, p.f_minus)]
     doubt = slice(None)
@@ -297,9 +239,7 @@ def _grid_signs(p: ProjectedPair, grid: np.ndarray) -> np.ndarray:
         signs[sure] = np.sign(diff[sure])
         doubt = np.flatnonzero(~sure)
     nodes = grid[doubt]
-    signs[doubt] = np.sign(
-        eval_on_sorted_grid(p.f_plus, nodes) - eval_on_sorted_grid(p.f_minus, nodes)
-    )
+    signs[doubt] = _signs(*(_LogBand(f, nodes, nodes)(nodes) for f in (p.f_plus, p.f_minus)))
     return signs
 
 

@@ -161,6 +161,43 @@ def test_a4_zero_training_error_at_small_bandwidth():
     )
 
 
+def test_a4b_zero_training_error_below_the_grid_step():
+    """A4's 50 seeded datasets at bandwidth 1e-5 on the default 4096-point
+    grid, whose step is then hundreds of bandwidths: the rule still reaches
+    zero balanced training error every time."""
+    sigma = 1e-5
+    failures = []
+    for seed in range(50):
+        rng = np.random.default_rng(1000 + seed)
+        dim = int(rng.integers(2, 6))
+        n = int(rng.integers(10, 51))
+        points = rng.standard_normal((n, dim)) * 2.0
+        labels = np.where(rng.random(n) < 0.5, -1, 1)
+        labels[0], labels[1] = -1, 1
+        data = LabeledDataset.from_arrays(points, labels)
+        if dim == 2:
+            _, direction = melc_direction(data, 360, bandwidth_override=sigma)
+        else:
+            best_value, direction = math.inf, None
+            for _ in range(500):
+                v = UnitDirection.from_vector(rng.standard_normal(dim))
+                minus, plus = project(data, v)
+                value = cip(ProjectedPair(Kde1d(minus, sigma), Kde1d(plus, sigma)))
+                if value < best_value:
+                    best_value, direction = value, v
+        minus, plus = project(data, direction)
+        model = build_multithreshold_model(
+            ProjectedPair(Kde1d(minus, sigma), Kde1d(plus, sigma)), direction
+        )
+        if empirical_balanced_error(model, data) != 0.0:
+            failures.append(seed)
+    _report(
+        "A4b zero training error below the grid step",
+        not failures,
+        f"failures: {failures}" if failures else "50/50 exact",
+    )
+
+
 def test_a5_separated_clouds_reach_zero_risk():
     """Two clouds separated by a margin far beyond the bandwidths: the
     cross-entropy maximizer attains eaa_risk < 1e-4 and cip < 1e-8."""

@@ -206,6 +206,17 @@ class TestClassifyCommand:
         assert summary["thresholds"]
         assert summary["bandwidths"] == [1e-3, 1e-3]
 
+    def test_zero_training_error_below_the_grid_step(self, tmp_path):
+        # At sigma 1e-5 the default grid's step is about 150 bandwidths, and
+        # both densities underflow at most nodes.
+        train = tmp_path / "train.csv"
+        assert run(["datagen", "--name", "two-gauss", "--seed", "42", "--n", "200",
+                    "--out", train]) == 0
+        out = tmp_path / "pred.csv"
+        assert run(["classify", "--train", train, "--test", train, "--out", out,
+                    "--angles", "360", "--sigma", "1e-5"]) == 0
+        assert json.loads((tmp_path / "pred.json").read_text())["balanced_error"] == 0.0
+
     def test_one_prediction_per_row(self, tmp_path, two_gauss_csv):
         out = tmp_path / "pred.csv"
         assert run(["classify", "--train", two_gauss_csv, "--test", two_gauss_csv,

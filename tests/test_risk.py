@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from melc import risk
+from melc import kde, risk
 from melc.geometry import LabeledDataset, UnitDirection, project
 from melc.kde import (
     DegenerateBandwidthError,
@@ -482,8 +482,9 @@ class TestBinnedOverlap:
 
 
 def direct_grid_signs(pair, grid):
-    """The all-direct threshold scan: sign(f_plus - f_minus) at every node."""
-    return np.sign(eval_on_sorted_grid(pair.f_plus, grid) - eval_on_sorted_grid(pair.f_minus, grid))
+    """The all-direct threshold scan: the sign of ln f_plus - ln f_minus from
+    the band evaluator at every node."""
+    return risk._signs(*(kde._LogBand(f, grid, grid)(grid) for f in (pair.f_plus, pair.f_minus)))
 
 
 def kde_eval_bisection(pair, lo, hi, positive_left):
@@ -500,8 +501,8 @@ def kde_eval_bisection(pair, lo, hi, positive_left):
 
 
 def all_direct_model(pair, grid_points=DEFAULT_GRID_POINTS):
-    """Thresholds and leftmost sign from the all-direct scan and kde_eval
-    bisection."""
+    """Thresholds and leftmost sign from the all-direct scan and bisection on
+    the band evaluator."""
     window = risk._pair_window(pair)
     grid = np.linspace(window[0], window[1], grid_points)
     signs = direct_grid_signs(pair, grid)
@@ -520,8 +521,20 @@ def all_direct_model(pair, grid_points=DEFAULT_GRID_POINTS):
             positive.append(signs[left] > 0)
     roots = []
     if lo:
-        roots = kde_eval_bisection(pair, np.array(lo), np.array(hi), np.array(positive)).tolist()
+        roots = risk._bisect_roots(pair, np.array(lo), np.array(hi), np.array(positive)).tolist()
     return np.sort(np.asarray(roots + exact)), int(signs[nonzero[0]])
+
+
+def log_density_oracle(f, x):
+    """ln f at every x over all centers, untruncated: log-sum-exp in long
+    double."""
+    centers = np.asarray(f.centers, dtype=np.longdouble)
+    sigma = np.longdouble(f.bandwidth)
+    exponents = -np.square(centers - np.asarray(x, dtype=np.longdouble)[:, None]) / (2 * sigma * sigma)
+    top = exponents.max(axis=1)
+    two_pi = 2 * np.arccos(np.longdouble(-1.0))
+    log_norm = np.log(centers.size * sigma * np.sqrt(two_pi))
+    return top + np.log(np.exp(exponents - top[:, None]).sum(axis=1)) - log_norm
 
 
 @st.composite
@@ -576,11 +589,12 @@ class TestCertifiedThresholdScan:
         grid = np.linspace(window[0], window[1], DEFAULT_GRID_POINTS)
         nodes = []
 
-        def direct(f, at):
-            nodes.append(at.size)
-            return eval_on_sorted_grid(f, at)
+        class Recording(kde._LogBand):
+            def __call__(self, x):
+                nodes.append(x.size)
+                return super().__call__(x)
 
-        monkeypatch.setattr(risk, "eval_on_sorted_grid", direct)
+        monkeypatch.setattr(risk, "_LogBand", Recording)
         risk._grid_signs(pair, grid)
         binned = sigma != 1e-3  # at 1e-3 the kernels are narrower than the grid step
         assert uses_binned_densities(pair) == binned
@@ -603,9 +617,27 @@ class TestCertifiedThresholdScan:
             )
 
 
+class TestThresholdCount:
+    @pytest.mark.parametrize("sigma", [1e-3, 1e-5])
+    def test_at_most_the_label_changes_of_the_sorted_centers(self, sigma):
+        # With one shared bandwidth the Gaussian kernel is variation
+        # diminishing (Schoenberg 1950; Karlin 1968): f_plus - f_minus changes
+        # sign at most as often as the labels of the sorted centers do.
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            minus = rng.normal(size=rng.integers(2, 801))
+            plus = rng.normal(loc=rng.uniform(0.0, 2.0), size=rng.integers(2, 801))
+            labels = np.concatenate([-np.ones(minus.size), np.ones(plus.size)])
+            labels = labels[np.argsort(np.concatenate([minus, plus]))]
+            changes = np.count_nonzero(labels[1:] != labels[:-1])
+            model = build_multithreshold_model(projected_pair(minus, plus, sigma, sigma), X_AXIS)
+            assert model.thresholds.size <= changes, seed
+
+
 class TestWindowedBisection:
     """Bisection on per-bracket center windows returns kde_eval bisection's
-    thresholds bit for bit."""
+    thresholds bit for bit wherever kde_eval's densities do not underflow,
+    and sign changes of the untruncated log densities everywhere."""
 
     @staticmethod
     def brackets(pair):
@@ -617,7 +649,7 @@ class TestWindowedBisection:
 
     @pytest.mark.parametrize(
         "sigma, n, distance",
-        [(None, 2000, 2.0), (0.3, 500, 1.0), (0.02, 1000, 0.5), (1e-3, 4000, 2.0), (1e-5, 1000, 1.0)],
+        [(None, 2000, 2.0), (0.3, 500, 1.0), (0.02, 1000, 0.5), (1e-3, 4000, 2.0)],
     )
     def test_thresholds_equal_kde_eval_bisection(self, sigma, n, distance, rng):
         pair = projected_pair(rng.normal(size=n), rng.normal(loc=distance, size=n), sigma, sigma)
@@ -626,16 +658,18 @@ class TestWindowedBisection:
         expected = kde_eval_bisection(pair, lo, hi, positive)
         np.testing.assert_array_equal(risk._bisect_roots(pair, lo, hi, positive), expected)
 
-    def test_underflowing_tails_keep_kde_eval_signs(self, rng):
-        # At sigma 1e-5 the grid step is hundreds of bandwidths: midpoints
-        # far from every center underflow to exactly 0 in kde_eval, and in
-        # some brackets one density is subnormal.
+    def test_thresholds_are_sign_changes_of_the_log_oracle(self, rng):
+        # At sigma 1e-5 the grid step is hundreds of bandwidths, and kde_eval
+        # underflows to 0 at some thresholds; each threshold still separates
+        # two signs of ln f_plus - ln f_minus, untruncated in long double.
         pair = projected_pair(rng.normal(size=300), rng.normal(loc=1.0, size=300), 1e-5, 1e-5)
-        lo, hi, positive = self.brackets(pair)
-        mid = 0.5 * (lo + hi)
-        assert np.any((kde_eval(pair.f_plus, mid) == 0) & (kde_eval(pair.f_minus, mid) == 0))
-        expected = kde_eval_bisection(pair, lo, hi, positive)
-        np.testing.assert_array_equal(risk._bisect_roots(pair, lo, hi, positive), expected)
+        thresholds = build_multithreshold_model(pair, X_AXIS).thresholds
+        assert np.any((kde_eval(pair.f_plus, thresholds) == 0) & (kde_eval(pair.f_minus, thresholds) == 0))
+        sides = [
+            np.sign(log_density_oracle(pair.f_plus, x) - log_density_oracle(pair.f_minus, x))
+            for x in (thresholds - risk.DEFAULT_REFINE_TOL, thresholds + risk.DEFAULT_REFINE_TOL)
+        ]
+        assert np.all(sides[0] * sides[1] == -1)
 
     def test_exact_ties_at_a_midpoint(self):
         # Mirror-image classes tie exactly at 0, the first midpoint of
@@ -663,7 +697,7 @@ class TestWindowedBisection:
             smallest.append(float(np.min(x)))
             return real_exp(x, *args, **kwargs)
 
-        monkeypatch.setattr(risk.np, "exp", exp)
-        monkeypatch.setattr(risk, "kde_eval", lambda f, x: pytest.fail("kde_eval called"))
+        monkeypatch.setattr(kde.np, "exp", exp)
+        monkeypatch.setattr(kde, "kde_eval", lambda f, x: pytest.fail("kde_eval called"))
         risk._bisect_roots(pair, lo, hi, positive)
         assert smallest and min(smallest) >= -700.0
