@@ -488,16 +488,21 @@ def direct_grid_signs(pair, grid):
 
 
 def kde_eval_bisection(pair, lo, hi, positive_left):
-    """Joint bisection with the untruncated kde_eval at every midpoint."""
+    """Joint bisection with the untruncated kde_eval at every midpoint.
+
+    Returns the roots and, per bracket, whether kde_eval's densities ever fell
+    below the smallest normal float at one of its midpoints."""
+    underflowed = np.zeros(lo.shape, dtype=bool)
     for _ in range(200):
         if not np.any(hi - lo > risk.DEFAULT_REFINE_TOL):
             break
         mid = 0.5 * (lo + hi)
-        g_mid = kde_eval(pair.f_plus, mid) - kde_eval(pair.f_minus, mid)
-        go_right = (g_mid > 0) == positive_left
+        plus, minus = kde_eval(pair.f_plus, mid), kde_eval(pair.f_minus, mid)
+        underflowed |= np.minimum(plus, minus) < np.finfo(float).tiny
+        go_right = (plus - minus > 0) == positive_left
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), underflowed
 
 
 def all_direct_model(pair, grid_points=DEFAULT_GRID_POINTS):
@@ -649,14 +654,44 @@ class TestWindowedBisection:
 
     @pytest.mark.parametrize(
         "sigma, n, distance",
-        [(None, 2000, 2.0), (0.3, 500, 1.0), (0.02, 1000, 0.5), (1e-3, 4000, 2.0)],
+        [(None, 2000, 2.0), (0.3, 500, 1.0), (0.02, 1000, 0.5), (1e-3, 4000, 2.0), (1e-5, 1000, 1.0)],
     )
     def test_thresholds_equal_kde_eval_bisection(self, sigma, n, distance, rng):
+        # At sigma 1e-5 some brackets meet midpoints where kde_eval underflows;
+        # there its bisection follows rounding, not f_plus - f_minus, and the
+        # roots need only be sign changes of the log oracle.
         pair = projected_pair(rng.normal(size=n), rng.normal(loc=distance, size=n), sigma, sigma)
         lo, hi, positive = self.brackets(pair)
         assert lo.size >= 1
-        expected = kde_eval_bisection(pair, lo, hi, positive)
-        np.testing.assert_array_equal(risk._bisect_roots(pair, lo, hi, positive), expected)
+        expected, underflowed = kde_eval_bisection(pair, lo, hi, positive)
+        assert underflowed.any() == (sigma == 1e-5)
+        roots = risk._bisect_roots(pair, lo, hi, positive)
+        np.testing.assert_array_equal(roots[~underflowed], expected[~underflowed])
+        sides = [
+            np.sign(log_density_oracle(pair.f_plus, x) - log_density_oracle(pair.f_minus, x))
+            for x in (roots[underflowed] - risk.DEFAULT_REFINE_TOL, roots[underflowed] + risk.DEFAULT_REFINE_TOL)
+        ]
+        assert np.all(sides[0] * sides[1] == -1)
+
+    def test_underflowing_tails_keep_kde_eval_signs(self, rng):
+        # At sigma 1e-5 the grid step is hundreds of bandwidths: midpoints
+        # far from every center underflow to exactly 0 in kde_eval. Where
+        # both of kde_eval's densities are normal floats the band evaluator
+        # keeps kde_eval's sign; where both are 0 it takes the log oracle's.
+        pair = projected_pair(rng.normal(size=300), rng.normal(loc=1.0, size=300), 1e-5, 1e-5)
+        lo, hi, _ = self.brackets(pair)
+        mid = 0.5 * (lo + hi)
+        plus, minus = kde_eval(pair.f_plus, mid), kde_eval(pair.f_minus, mid)
+        signs = risk._signs(*(kde._LogBand(f, lo, hi)(mid) for f in (pair.f_plus, pair.f_minus)))
+        normal = np.minimum(plus, minus) >= np.finfo(float).tiny
+        zero = (plus == 0) & (minus == 0)
+        assert np.any(normal) and np.any(zero)
+        np.testing.assert_array_equal(signs[normal], np.sign(plus - minus)[normal])
+        oracle = np.sign(
+            log_density_oracle(pair.f_plus, mid[zero]) - log_density_oracle(pair.f_minus, mid[zero])
+        )
+        assert np.all(oracle != 0)
+        np.testing.assert_array_equal(signs[zero], oracle)
 
     def test_thresholds_are_sign_changes_of_the_log_oracle(self, rng):
         # At sigma 1e-5 the grid step is hundreds of bandwidths, and kde_eval
@@ -684,7 +719,7 @@ class TestWindowedBisection:
             positive = kde_eval(pair.f_plus, lo) > kde_eval(pair.f_minus, lo)
             np.testing.assert_array_equal(
                 risk._bisect_roots(pair, lo, hi, positive),
-                kde_eval_bisection(pair, lo, hi, positive),
+                kde_eval_bisection(pair, lo, hi, positive)[0],
             )
 
     def test_exp_never_sees_an_underflowing_exponent(self, rng, monkeypatch):
