@@ -30,7 +30,12 @@ kept only where it is far below the result:
   kernel's peak). Its error is about 1e-16 of the peak density at every node.
 
 ``kde_eval`` truncates nothing; the tests take it as the oracle.
-``eval_on_sorted_grid`` is always direct. ``_LogBand`` gives ln f, finite
+``eval_on_sorted_grid`` is always direct. It sums each node's terms in the
+same order whichever other nodes it is given, so a subset of a grid gets the
+full grid's bits, and it never passes ``exp`` an exponent whose result is
+exactly 0. ``_grid_minimum`` uses that to give the overlap's direct minimum
+of two densities bit for bit while evaluating each density only at the
+nodes where it can be the smaller. ``_LogBand`` gives ln f, finite
 where f underflows, at one point of each of a set of intervals, from the
 centers within reach of the interval; it serves threshold extraction
 (``melc.risk``) and shares its windowed block loop, ``_Band``, with the
@@ -46,6 +51,7 @@ uses it only to pick the angles it evaluates in closed form.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -76,6 +82,15 @@ _BAND_BUDGET = 1 << 15
 # per element) or are subnormal (about 130 ns), against about 1.2 ns in range
 # (measured on a 2-vCPU x86 host), so no smaller exponent is passed to it.
 _EXP_FLOOR = -700.0
+# exp of an exponent below -_EXP_ZERO is exactly 0: the smallest subnormal is
+# exp(-744.4). The grid evaluator drops such terms instead.
+_EXP_ZERO = 746.0
+# _grid_minimum's bounds: an upper bound takes exponents of at least
+# _BOUND_EXP, so that exp(_BOUND_EXP) / 85 covers a subnormal term's absolute
+# rounding, and the bounds must differ by a factor of 1.02, which covers that
+# and every other rounding.
+_BOUND_EXP = -740.0
+_BOUND_MARGIN = math.log(1.02)
 
 # Binned pair sums. Bins of a quarter standard deviation keep every center
 # within 1/8 of its bin node, so a pair's offset from its bin distance is at
@@ -173,6 +188,14 @@ class Kde1d:
     def n_centers(self) -> int:
         return self.centers.size
 
+    @cached_property
+    def _sorted_centers(self) -> np.ndarray:
+        """The centers in ascending order, sorted once per density and shared
+        by every evaluator, so read-only."""
+        centers = np.sort(self.centers)
+        centers.flags.writeable = False
+        return centers
+
 
 def silverman_bandwidth(samples) -> float:
     """Rule-of-thumb bandwidth (4 / (3 N))^(1/5) * std for 1-D Gaussian KDE.
@@ -226,26 +249,108 @@ def kde_eval(f: Kde1d, x):
 
 def eval_on_sorted_grid(f: Kde1d, grid: np.ndarray) -> np.ndarray:
     """Density values on an ascending grid, skipping kernels farther than
-    ``_CUTOFF_STDS`` bandwidths from a grid block (below 1e-15 relative)."""
+    ``_CUTOFF_STDS`` bandwidths from a grid block (below 1e-15 relative).
+
+    Every node's value is summed block by block, and within a block center
+    by center, from the same terms whichever other nodes are given, so at
+    any ascending subset of a grid it is the full grid's value bit for bit.
+    Terms whose exponent is below -_EXP_ZERO are exactly 0 and are dropped
+    before ``exp``, which would take its slow path on them."""
     out = np.zeros(grid.size)
-    centers = np.sort(f.centers)
+    centers = f._sorted_centers
     reach = _CUTOFF_STDS * f.bandwidth
     inv2s2 = 0.5 / (f.bandwidth * f.bandwidth)
+    lo, hi = _block_ranges(centers, reach, grid)
     scratch = np.empty(min(_CHUNK, centers.size) * grid.size)
-    for i0 in range(0, centers.size, _CHUNK):
-        block = centers[i0 : i0 + _CHUNK]
-        lo = np.searchsorted(grid, block[0] - reach, side="left")
-        hi = np.searchsorted(grid, block[-1] + reach, side="right")
-        if hi <= lo:
-            continue
-        nodes = grid[lo:hi]
+    for k in np.flatnonzero(hi > lo):
+        block = centers[k * _CHUNK : (k + 1) * _CHUNK]
+        nodes = grid[lo[k] : hi[k]]
+        underflows = _underflows(block, nodes, inv2s2)
+        if underflows:
+            # Centers whose nearest node is too far add only zeros.
+            near = _nearest_distances(nodes, block)
+            block = block[np.square(near) * inv2s2 <= _EXP_ZERO]
+            if block.size == 0:
+                continue
+            underflows = _underflows(block, nodes, inv2s2)
         w = scratch[: block.size * nodes.size].reshape(block.size, nodes.size)
         np.subtract(block[:, None], nodes[None, :], out=w)
         np.square(w, out=w)
         w *= -inv2s2
-        np.exp(w, out=w)
-        out[lo:hi] += w.sum(axis=0)
+        if underflows:
+            keep = w >= -_EXP_ZERO
+            w *= keep  # exp(-0.0) is 1, zeroed again below
+            np.exp(w, out=w)
+            w *= keep
+        else:
+            np.exp(w, out=w)
+        # numpy sums one column pairwise and a wider block row by row.
+        out[lo[k] : hi[k]] += w.sum(axis=0) if nodes.size > 1 else w.cumsum()[-1]
     out /= centers.size * f.bandwidth * _SQRT_2PI
+    return out
+
+
+def _underflows(block: np.ndarray, nodes: np.ndarray, inv2s2: float) -> bool:
+    """Whether some exponent -(c - x)^2 inv2s2 of ascending centers and nodes
+    is below -_EXP_ZERO: the farthest pair's, rounded as the terms are."""
+    far = max(nodes[-1] - block[0], block[-1] - nodes[0])
+    return far * far * inv2s2 > _EXP_ZERO
+
+
+def _block_ranges(centers: np.ndarray, reach: float, grid: np.ndarray):
+    """For each block of _CHUNK sorted centers, the first and one past the
+    last node of the ascending grid within ``reach`` of the block."""
+    firsts = centers[::_CHUNK]
+    lasts = centers[_CHUNK - 1 :: _CHUNK]
+    if centers.size % _CHUNK:
+        lasts = np.append(lasts, centers[-1])
+    lo = np.searchsorted(grid, firsts - reach, side="left")
+    hi = np.searchsorted(grid, lasts + reach, side="right")
+    return lo, hi
+
+
+def _grid_minimum(f: Kde1d, g: Kde1d, grid: np.ndarray) -> np.ndarray:
+    """np.minimum(eval_on_sorted_grid(f, grid), eval_on_sorted_grid(g, grid))
+    bit for bit, evaluating each density only where it can be the smaller.
+
+    Where one density's blocks do not reach a node, or its nearest center's
+    term is exactly 0, that density and so the minimum are exactly 0. At the
+    other nodes a density is skipped where it is certainly the larger one:
+    its sum holds its nearest center's term, a normal number, when that
+    center's block reaches the node, while the other density's sum is at
+    most N of its own nearest center's terms. The quotients by the norms are
+    rounded in order, so the skipped value cannot be the smaller."""
+    pair = (f, g)
+    ranges = [_block_ranges(d._sorted_centers, _CUTOFF_STDS * d.bandwidth, grid) for d in pair]
+    reached = np.ones(grid.size, dtype=bool)
+    for lo, hi in ranges:
+        opened = np.bincount(lo, minlength=grid.size + 1) - np.bincount(hi, minlength=grid.size + 1)
+        reached &= np.cumsum(opened[:-1]) > 0
+    nodes = np.flatnonzero(reached)
+    x = grid[nodes]
+    zero = np.zeros(nodes.size, dtype=bool)
+    lower, upper = [], []  # bounds on ln of each density's value
+    for d, (lo, hi) in zip(pair, ranges):
+        centers = d._sorted_centers
+        right = np.minimum(np.searchsorted(centers, x), centers.size - 1)
+        left = np.maximum(right - 1, 0)
+        nearest = np.where(np.abs(centers[left] - x) < np.abs(centers[right] - x), left, right)
+        # The nearest center's exponent, rounded as the evaluator rounds it.
+        exponent = np.square(centers[nearest] - x) * (-0.5 / (d.bandwidth * d.bandwidth))
+        zero |= exponent < -_EXP_ZERO
+        block = nearest // _CHUNK
+        held = (lo[block] <= nodes) & (nodes < hi[block]) & (exponent >= _EXP_FLOOR)
+        log_norm = math.log(centers.size * d.bandwidth * _SQRT_2PI)
+        lower.append(np.where(held, exponent - log_norm, -np.inf))
+        upper.append(math.log(centers.size) + np.maximum(exponent, _BOUND_EXP) - log_norm)
+    values = []
+    for d, own, other in ((f, lower[0], upper[1]), (g, lower[1], upper[0])):
+        wanted = ~zero & (own <= other + _BOUND_MARGIN)
+        v = np.full(nodes.size, np.inf)
+        v[wanted] = eval_on_sorted_grid(d, x[wanted])
+        values.append(v)
+    out = np.zeros(grid.size)
+    out[nodes[~zero]] = np.minimum(*values)[~zero]
     return out
 
 
@@ -349,7 +454,7 @@ def min_density_bound(f: Kde1d, g: Kde1d) -> float:
     Every x lies at least half the smallest center distance d between the two
     mixtures away from all centers of one of them, and a mixture is at most
     its kernel's value at that distance there."""
-    half = 0.5 * float(_nearest_distances(np.sort(f.centers), g.centers).min())
+    half = 0.5 * float(_nearest_distances(f._sorted_centers, g.centers).min())
     return max(
         math.exp(-0.5 * (half / h.bandwidth) ** 2) / (h.bandwidth * _SQRT_2PI)
         for h in (f, g)
@@ -404,7 +509,7 @@ class _LogBand(_Band):
     """
 
     def __init__(self, f: Kde1d, lo: np.ndarray, hi: np.ndarray):
-        centers = np.sort(f.centers)
+        centers = f._sorted_centers
         middle, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         nearest = _nearest_distances(centers, middle)
         reach = np.hypot(nearest + half, _CUTOFF_STDS * f.bandwidth) + half

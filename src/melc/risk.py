@@ -11,7 +11,10 @@ evaluator of ``melc.kde`` where it applies. Its error is absolute, about
 1e-16 of the peak density, so an overlap below 1e-3 is recomputed with the
 direct evaluator: -ln(overlap) in the entropy bound then stays within 1e-12.
 Where the center distances alone bound the overlap below 1e-3, the direct
-evaluator runs from the start.
+evaluator runs from the start. The direct minimum of the two densities is
+bit for bit that of both densities on the full grid, but each density is
+evaluated only at the nodes that both densities reach and where it is not
+certainly the larger one.
 
 Threshold extraction reads the sign of f_plus - f_minus from the binned
 densities only at grid nodes where the difference exceeds a margin of 1e-12
@@ -27,7 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import AffineMap1d, LabeledDataset, UnitDirection, project
-from .kde import _LogBand, binned_density_on_grid, eval_on_sorted_grid, min_density_bound
+from .kde import (
+    _grid_minimum,
+    _LogBand,
+    binned_density_on_grid,
+    eval_on_sorted_grid,
+    min_density_bound,
+)
 from .objectives import ProjectedPair, projected_pair, renyi_cross_entropy
 
 __all__ = [
@@ -171,9 +180,7 @@ def overlap_integral(
             overlap = float(np.trapezoid(np.minimum(fm, fp), grid))
             if overlap >= _BINNED_OVERLAP_MIN:
                 return overlap
-    fm = eval_on_sorted_grid(p.f_minus, grid)
-    fp = eval_on_sorted_grid(p.f_plus, grid)
-    return float(np.trapezoid(np.minimum(fm, fp), grid))
+    return float(np.trapezoid(_grid_minimum(p.f_minus, p.f_plus, grid), grid))
 
 
 def eaa_bayes_risk_for_direction(

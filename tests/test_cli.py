@@ -263,6 +263,30 @@ class TestClassifyRegression:
         assert "".join("+" if label == "+1" else "-" for label in labels) == want["predictions"]
 
 
+@pytest.fixture(scope="module")
+def four_line_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("four-line") / "four-line-7.csv"
+    assert run(["datagen", "--name", "four-line", "--seed", 7, "--n", 300, "--out", path]) == 0
+    return path
+
+
+class TestNarrowBandwidthRegression:
+    """Seeded sweep, bound-check and table runs at narrow bandwidths, where
+    the overlap takes its direct path, against CSVs recorded before that path
+    evaluated each density only at some nodes: four-line seed 7, 300 points
+    a component, 90 angles."""
+
+    @pytest.mark.parametrize("sigma", ["0.02", "1e-3"])
+    @pytest.mark.parametrize("command", ["sweep", "bound-check", "table"])
+    def test_matches_recorded_csv(self, tmp_path, four_line_csv, command, sigma, capsys):
+        out = tmp_path / "out.csv"
+        assert run([command, "--data", four_line_csv, "--out", out, "--angles", 90,
+                    "--sigma", sigma]) == 0
+        capsys.readouterr()
+        name = f"four_line_7_{command.replace('-', '_')}_sigma{sigma}.csv"
+        assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
+
+
 class TestErrorPaths:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         out = tmp_path / "s.csv"

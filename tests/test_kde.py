@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import trapezoid_product_integral
+from conftest import clusters, grid_density_oracle, trapezoid_product_integral
 from melc import kde
 from melc.geometry import AffineMap1d
 from melc.kde import (
@@ -597,3 +597,87 @@ class TestBinnedGridDensity:
         narrow = np.linspace(-0.5, 0.5, 4096)
         assert binned_density_on_grid(Kde1d(inside, 1.0 / 3.5), narrow) is None
         assert binned_density_on_grid(Kde1d(inside, 1.0 / 5.0), narrow) is not None
+
+
+@st.composite
+def clustered_densities(draw):
+    """A density of clusters more than 40 bandwidths apart (40 units at the
+    Silverman bandwidth) on the 4096-node grid spanning its centers and 8
+    bandwidths either side."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = draw(st.sampled_from([None, 0.02, 1e-3, 1e-5]))
+    centers = clusters(rng, sigma or 1.0, draw(st.integers(1, 4)))
+    f = Kde1d(centers, sigma or silverman_bandwidth(centers))
+    pad = 8.0 * f.bandwidth
+    return f, np.linspace(centers.min() - pad, centers.max() + pad, 4096)
+
+
+class TestGridEvaluatorSubsets:
+    """The direct grid evaluator gives the oracle's bits on full grids, and
+    at any ascending subset of nodes the full grid's bits there."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(clustered_densities())
+    def test_full_grid_matches_the_oracle(self, density):
+        f, grid = density
+        np.testing.assert_array_equal(eval_on_sorted_grid(f, grid), grid_density_oracle(f, grid))
+
+    @settings(max_examples=100, deadline=None)
+    @given(clustered_densities(), st.sampled_from([0.001, 0.05, 0.5]), st.integers(0, 2**32 - 1))
+    def test_subsets_match_the_full_grid(self, density, share, seed):
+        f, grid = density
+        rng = np.random.default_rng(seed)
+        full = grid_density_oracle(f, grid)
+        lo, hi = kde._block_ranges(np.sort(f.centers), kde._CUTOFF_STDS * f.bandwidth, grid)
+        reaching = np.flatnonzero(hi > lo)
+        # One node inside each of a few blocks' ranges, alone in its block
+        # unless two blocks overlap there.
+        isolated = [int(rng.integers(lo[k], hi[k])) for k in rng.choice(reaching, min(3, reaching.size))]
+        subsets = [
+            np.flatnonzero(rng.uniform(size=grid.size) < share),
+            np.array([int(rng.integers(grid.size))]),
+            np.unique(isolated),
+        ]
+        for nodes in subsets:
+            np.testing.assert_array_equal(eval_on_sorted_grid(f, grid[nodes]), full[nodes])
+
+    def test_a_single_node_block_is_summed_row_by_row(self):
+        # A block of 24 centers within a bandwidth reaches one node of a
+        # coarse grid; numpy would sum that one column pairwise, to other bits.
+        centers = np.concatenate([np.linspace(0.0, 1.0, 24), [1000.0]])
+        f = Kde1d(centers, 1.0)
+        grid = np.array([-40.0, 0.3, 40.0, 990.0])
+        terms = np.exp(np.square(centers[:24] - 0.3) * -0.5)
+        row_by_row = 0.0
+        for term in terms:
+            row_by_row += term
+        assert terms[:, None].sum(axis=0)[0] != row_by_row
+        expected = row_by_row / (centers.size * f.bandwidth * kde._SQRT_2PI)
+        assert eval_on_sorted_grid(f, grid)[1] == expected
+        assert eval_on_sorted_grid(f, grid[1:2])[0] == expected
+
+    def test_exp_never_sees_an_underflowing_exponent(self, rng, monkeypatch):
+        # Two clusters 150 bandwidths apart share blocks of centers, so each
+        # block reaches nodes where the other cluster's terms are exactly 0;
+        # exp would take its slow path on their exponents.
+        lowest = []
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def exp(x, *args, **kwargs):
+                finite = np.asarray(x)[np.isfinite(x)]
+                lowest.append(float(finite.min(initial=0.0)))
+                return np.exp(x, *args, **kwargs)
+
+        sigma = 1e-3
+        centers = np.concatenate([rng.normal(0.0, sigma, 100), rng.normal(150.0 * sigma, sigma, 100)])
+        f = Kde1d(centers, sigma)
+        grid = np.linspace(-10.0 * sigma, 160.0 * sigma, 4096)
+        expected = grid_density_oracle(f, grid)
+        monkeypatch.setattr(kde, "np", RecordingNumpy())
+        got = eval_on_sorted_grid(f, grid)
+        assert lowest and min(lowest) >= -kde._EXP_ZERO
+        np.testing.assert_array_equal(got, expected)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import clusters, grid_density_oracle
 from melc import kde, risk
+from melc.datasets import DatasetSpec, generate
 from melc.geometry import LabeledDataset, UnitDirection, project
 from melc.kde import (
     DegenerateBandwidthError,
@@ -481,6 +483,66 @@ class TestBinnedOverlap:
         assert overlap_integral(pair) == expected
 
 
+@st.composite
+def direct_path_pairs(draw):
+    """Projected pairs whose overlap the direct path computes: clusters more
+    than 40 bandwidths apart with the classes separated, or the four-line set
+    on a random direction, whose lines interleave the classes; on the default
+    window or rescaled to (0, 1)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = draw(st.sampled_from([None, 0.02, 1e-3, 1e-5]))
+    if draw(st.booleans()):
+        unit = sigma or 1.0
+        minus = clusters(rng, unit, draw(st.integers(1, 3)))
+        plus = clusters(rng, unit, draw(st.integers(1, 3)))
+        plus += minus.max() - plus.min() + unit * rng.uniform(40.0, 400.0)
+    else:
+        data = generate(DatasetSpec("four-line", draw(st.integers(0, 1000)), draw(st.integers(2, 150))))
+        minus, plus = project(data, UnitDirection.from_angle(rng.uniform(0.0, math.pi)))
+    pair = projected_pair(minus, plus, sigma, sigma)
+    if not draw(st.booleans()):
+        return pair, risk._pair_window(pair)
+    pair = rescaled_pair(minus, plus, pair.f_minus.bandwidth, pair.f_plus.bandwidth, 5.0)
+    return pair, (0.0, 1.0)
+
+
+class TestDirectOverlap:
+    """The direct overlap evaluates each density only where it can be the
+    smaller, and returns the trapezoid sum of the elementwise minimum of the
+    two oracle densities bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(direct_path_pairs())
+    def test_equals_the_oracle_minimum(self, drawn):
+        pair, window = drawn
+        grid = np.linspace(window[0], window[1], DEFAULT_GRID_POINTS)
+        expected = np.trapezoid(
+            np.minimum(grid_density_oracle(pair.f_minus, grid), grid_density_oracle(pair.f_plus, grid)),
+            grid,
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            # Without binned densities every pair takes the direct path.
+            patch.setattr(risk, "binned_density_on_grid", lambda f, grid: None)
+            assert overlap_integral(pair, window=window) == expected
+
+    def test_evaluates_few_nodes(self, monkeypatch):
+        # Four-line at sigma 0.02: the classes meet on a few narrow bands.
+        data = generate(DatasetSpec("four-line", 901, 500))
+        pair = projected_pair(*project(data, UnitDirection.from_angle(0.3)), 0.02, 0.02)
+        grid = np.linspace(*risk._pair_window(pair), DEFAULT_GRID_POINTS)
+        expected = np.minimum(grid_density_oracle(pair.f_minus, grid), grid_density_oracle(pair.f_plus, grid))
+        nodes = []
+
+        def recording(f, x):
+            nodes.append(x.size)
+            return eval_on_sorted_grid(f, x)
+
+        monkeypatch.setattr(kde, "eval_on_sorted_grid", recording)
+        np.testing.assert_array_equal(kde._grid_minimum(pair.f_minus, pair.f_plus, grid), expected)
+        assert np.count_nonzero(expected) > 0
+        assert len(nodes) == 2 and sum(nodes) < 0.25 * grid.size
+
+
 def direct_grid_signs(pair, grid):
     """The all-direct threshold scan: the sign of ln f_plus - ln f_minus from
     the band evaluator at every node."""
@@ -607,6 +669,24 @@ class TestCertifiedThresholdScan:
             assert max(nodes) < 0.2 * grid.size
         else:
             assert nodes == [grid.size, grid.size]
+
+    def test_sorts_each_density_once(self, rng, monkeypatch):
+        pair = projected_pair(rng.normal(size=2000), rng.normal(loc=2.0, size=1500))
+        sorted_sizes = []
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def sort(a, *args, **kwargs):
+                sorted_sizes.append(np.size(a))
+                return np.sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(kde, "np", RecordingNumpy())
+        model = build_multithreshold_model(pair, X_AXIS)
+        assert model.thresholds.size >= 1
+        assert sorted(sorted_sizes) == [1500, 2000]
 
     def test_margin_covers_far_offsets(self, rng):
         # Far from the origin the nodes' rounding dominates the binned error.
