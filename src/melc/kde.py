@@ -45,8 +45,13 @@ direct pair sum.
 2-D classes projected on every direction of an angle grid at once, with an
 error bound per direction: by the Gaussian semigroup, each is a sum of one
 lattice correlation of the two Gaussian-smoothed point clouds against a
-ridge Gaussian (the gridding of Greengard & Lee 2004). The direction scan
-uses it only to pick the angles it evaluates in closed form.
+ridge Gaussian (the gridding of Greengard & Lee 2004). Where that lattice
+is too fine to build, ``_cip_lower_bound`` bounds one projection's potential
+from below in O(N log N): the centers are summarized per occupied bin of one
+pair kernel standard deviation (count, mean, variance), and by Jensen's
+inequality each pair of nearby bins adds at least its count product times
+the kernel at its mean squared distance. The direction scan uses both only
+to order the angles it evaluates in closed form and to stop early.
 """
 
 import math
@@ -148,6 +153,12 @@ _SCREEN_MIN_SPREAD = 1e-8
 # terms (at 2 to 10 points a class), so the bounds are twice those terms.
 _SCREEN_EPS = 1e-15
 _SCREEN_MARGIN = 2.0
+
+# Lower bound of the direction scan (``_cip_lower_bound``): bins one pair
+# kernel standard deviation wide, and bin pairs at most this many bins apart.
+# Farther pairs add at most e^-4.5 of a term each; at sigma 1e-3 on 20000
+# two-gauss points a class the bound is 0.93 to 0.945 of the potential.
+_LOWER_BOUND_BINS = 3
 
 # Binned grid densities: the first omitted Taylor term stays below this share
 # of a kernel's peak, with at most _GRID_MAX_TERMS terms; beyond that the grid
@@ -719,6 +730,61 @@ def cross_integral(f: Kde1d, g: Kde1d) -> float:
 def self_integral(f: Kde1d) -> float:
     """Integral of the squared density, cross_integral(f, f)."""
     return cross_integral(f, f)
+
+
+def _bin_summaries(centers: np.ndarray, origin: float, width: float):
+    """Per occupied bin of ``width`` from ``origin``, found as a run of the
+    ascending centers: its index, count, first center, and the mean and
+    variance of its centers' offsets from that first center."""
+    bins = centers - origin
+    bins /= width
+    np.floor(bins, out=bins)
+    starts = np.flatnonzero(np.concatenate(([True], bins[1:] != bins[:-1])))
+    bins = bins[starts]
+    counts = np.diff(starts, append=centers.size)
+    firsts = centers[starts]
+    offsets = np.repeat(firsts, counts)
+    np.subtract(centers, offsets, out=offsets)
+    means = np.add.reduceat(offsets, starts)
+    means /= counts
+    np.square(offsets, out=offsets)
+    variances = np.add.reduceat(offsets, starts)
+    variances /= counts
+    variances -= means * means
+    return bins, counts, firsts, means, np.maximum(variances, 0.0, out=variances)
+
+
+def _cip_lower_bound(f: Kde1d, g: Kde1d) -> float:
+    """A lower bound on ``cross_integral(f, g)`` in O(N log N).
+
+    The sorted centers of each density are grouped into bins one pair
+    kernel standard deviation s wide, s^2 = sigma_f^2 + sigma_g^2. Two bins
+    of n and m centers, means mu and nu and variances v and w, have pairs of
+    mean squared distance (mu - nu)^2 + v + w, and exp(-d2 / (2 s^2)) is
+    convex in d2, so by Jensen's inequality their pairs sum to at least
+    n m exp(-((mu - nu)^2 + v + w) / (2 s^2)). Only bin pairs at most
+    _LOWER_BOUND_BINS apart are summed; the others would only add, and the
+    summed exponents stay above -((_LOWER_BOUND_BINS + 1)^2 + 1/2) / 2, so
+    exp never leaves its fast path. Means are kept as a first center plus
+    an offset, so their distances round relative to s, not to the centers'
+    magnitude.
+    """
+    a, b = f._sorted_centers, g._sorted_centers
+    var_sum = f.bandwidth * f.bandwidth + g.bandwidth * g.bandwidth
+    origin, width = min(a[0], b[0]), math.sqrt(var_sum)
+    bins_a, counts_a, firsts_a, means_a, vars_a = _bin_summaries(a, origin, width)
+    bins_b, counts_b, firsts_b, means_b, vars_b = _bin_summaries(b, origin, width)
+    # Each bin of a meets one run of b's occupied bins.
+    lo = np.searchsorted(bins_b, bins_a - _LOWER_BOUND_BINS, side="left")
+    hi = np.searchsorted(bins_b, bins_a + _LOWER_BOUND_BINS, side="right")
+    total = 0.0
+    for j in range(2 * _LOWER_BOUND_BINS + 1):
+        rows = np.flatnonzero(lo + j < hi)
+        cols = lo[rows] + j
+        d = (firsts_a[rows] - firsts_b[cols]) + (means_a[rows] - means_b[cols])
+        exponents = (d * d + vars_a[rows] + vars_b[cols]) * (-0.5 / var_sum)
+        total += float(np.dot(counts_a[rows] * counts_b[cols], np.exp(exponents)))
+    return total / (a.size * b.size * math.sqrt(2.0 * math.pi * var_sum))
 
 
 def _lattice_cip_screen(minus, plus, directions, bandwidth=None):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LabeledDataset, UnitDirection, cosine_alignment, project
-from .kde import _lattice_cip_screen
+from .kde import _cip_lower_bound, _lattice_cip_screen
 from .objectives import (
     best_bias_hinge,
     cip,
@@ -60,9 +60,10 @@ SWEEP_FIELDS = (
 # relative errors are undefined there and absolute gaps are reported instead.
 SEPARABLE_TOL = 1e-9
 
-# Share of the angles above which the screened direction scan evaluates every
-# angle instead of the screen's candidates.
-_RECHECK_SHARE = 0.1
+# Relative slack of the direction scan's lower bounds: covers the binned
+# pair sum's error of 1e-12 and the direct sum's truncation, both relative to
+# the potential, and the rounding of the bounds themselves.
+_BOUND_SLACK = 1e-9
 
 # Bandwidths of buffer on each side of the centers before the bound check's
 # rescale to [0, 1].
@@ -184,13 +185,13 @@ def melc_direction(
     no quadrature, hinge, or threshold scans are evaluated.
 
     The angle is the first-index argmin of ``cip`` over the grid, as a scan
-    of every angle would return it. An all-angle lattice screen
-    (``kde._lattice_cip_screen``) estimates every angle's potential with an
-    error bound; only the angles whose bound interval reaches below the
-    smallest upper bound are evaluated in closed form. The full scan runs
-    instead where the screen does not apply, where more than
-    _RECHECK_SHARE of the angles remain, or where a closed-form value misses
-    its estimate by more than the bound.
+    of every angle would return it, found best first (``_best_first``) from
+    a lower bound per angle. The bounds come from the all-angle lattice
+    screen (``kde._lattice_cip_screen``, estimate minus error bound) where
+    it applies and every closed-form value lands within its estimate's
+    bound; otherwise from the binned Jensen bound (``kde._cip_lower_bound``)
+    of each angle's projections, computed in angle order, so a degenerate
+    projection raises where the scan would.
     """
     if data.dim != 2:
         raise ValueError("direction scan requires a 2-D dataset")
@@ -203,19 +204,47 @@ def melc_direction(
     def entry(k):
         return angles[k], UnitDirection.from_angle(angles[k])
 
-    def potential(k):
+    def pair(k):
         minus, plus = project(data, entry(k)[1])
-        return cip(projected_pair(minus, plus, bandwidth_override, bandwidth_override))
+        return projected_pair(minus, plus, bandwidth_override, bandwidth_override)
+
+    def potential(k):
+        return cip(pair(k))
 
     screen = _lattice_cip_screen(*data.class_points(), directions, bandwidth_override)
     if screen is not None:
         estimates, bounds = screen
-        candidates = np.flatnonzero(estimates - bounds <= np.min(estimates + bounds))
-        if candidates.size <= _RECHECK_SHARE * n:
-            values = [potential(k) for k in candidates]
-            if np.all(np.abs(np.array(values) - estimates[candidates]) <= bounds[candidates]):
-                return entry(candidates[int(np.argmin(values))])
-    return entry(int(np.argmin([potential(k) for k in range(n)])))
+        best = _best_first(
+            estimates - bounds,
+            potential,
+            lambda k, value: abs(value - estimates[k]) <= bounds[k],
+        )
+        if best is not None:
+            return entry(best)
+    lower = [_cip_lower_bound(p.f_minus, p.f_plus) for p in map(pair, range(n))]
+    return entry(_best_first(lower, potential))
+
+
+def _best_first(lower, potential, within=None):
+    """The first index of the smallest ``potential(k)``, given lower bounds
+    ``lower[k]`` on every value up to _BOUND_SLACK.
+
+    Indices are evaluated in ascending order of (bound, index) until the
+    next bound exceeds the best value times 1 + _BOUND_SLACK, or the best
+    value is 0: a potential is never negative, and a later index with a
+    bound of 0 loses the tie. None as soon as ``within(k, value)`` fails.
+    """
+    lower = np.maximum(lower, 0.0)
+    best, best_k = math.inf, None
+    for k in np.argsort(lower, kind="stable"):
+        if best == 0.0 or lower[k] > best * (1.0 + _BOUND_SLACK):
+            break
+        value = potential(k)
+        if within is not None and not within(k, value):
+            return None
+        if value < best or (value == best and k < best_k):
+            best, best_k = value, int(k)
+    return best_k
 
 
 def bound_sweep(

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -21,6 +22,9 @@ from melc.kde import (
     silverman_bandwidth,
 )
 from melc.objectives import cip, projected_pair, renyi_cross_entropy, rescaled_pair
+
+# The module, not the function that ``melc`` exports under the same name.
+sweep_module = importlib.import_module("melc.sweep")
 
 
 def random_kde(rng, max_centers=10, spread=3.0):
@@ -471,6 +475,71 @@ class TestBinnedPairSum:
             assert kde._hermite_pair_sum(a, b, var_sum) < kde._PAIR_MIN_SHARE * a.size * b.size
         assert kde._gauss_pair_sum(minus, plus, var_sum) == direct
         assert kde._gauss_pair_sum(plus, minus, var_sum) == direct
+
+
+@st.composite
+def lower_bound_inputs(draw):
+    """Two densities for the direction scan's lower bound: 1 to 3000
+    centers each, spread, duplicated or all equal over up to 200 pair kernel
+    standard deviations s (past the binned sum's cap of 64 s), bandwidths
+    from 1e-5 to about 2 that differ by up to a factor of 10, centers up to
+    10 from the origin, and optionally the second set wholly above the
+    first, up to 60 s away, where the bound may be 0."""
+    n_a = draw(st.integers(1, 3000))
+    n_b = draw(st.integers(1, 3000))
+    sigma_f = 10.0 ** draw(st.floats(-5.0, 0.0))
+    sigma_g = sigma_f * 10.0 ** draw(st.floats(-1.0, 1.0))
+    s = math.hypot(sigma_f, sigma_g)
+    span = s * draw(st.floats(0.0, 200.0))
+    loc = draw(st.floats(-10.0, 10.0))
+    kind_a = draw(st.sampled_from(["spread", "duplicated", "all-equal"]))
+    kind_b = draw(st.sampled_from(["spread", "duplicated", "all-equal"]))
+    gap = draw(st.one_of(st.none(), st.floats(0.0, 60.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = _layout(rng, kind_a, n_a, span, loc)
+    b = _layout(rng, kind_b, n_b, span, loc)
+    if gap is not None:
+        b = b + (a.max() - b.min() + gap * s)
+    return Kde1d(a, sigma_f), Kde1d(b, sigma_g)
+
+
+class TestCipLowerBound:
+    """``_cip_lower_bound``, the binned Jensen bound that orders and prunes
+    the direction scan where the lattice screen does not apply."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lower_bound_inputs())
+    def test_at_most_the_potential(self, pair):
+        f, g = pair
+        bound = kde._cip_lower_bound(f, g)
+        # The scan's slack: the binned pair sum is 1e-12 relative, and the
+        # bound is tight where every bin holds equal centers.
+        assert 0.0 <= bound <= cross_integral(f, g) * (1.0 + sweep_module._BOUND_SLACK)
+        assert kde._cip_lower_bound(g, f) == pytest.approx(bound, rel=1e-12)
+
+    def test_zero_for_separable_classes(self):
+        f = Kde1d(np.linspace(0.0, 1.0, 50), 1e-3)
+        g = Kde1d(np.linspace(1.02, 2.0, 50), 1e-3)  # 14 pair kernel stds up
+        assert kde._cip_lower_bound(f, g) == 0.0
+        assert cross_integral(f, g) > 0.0
+
+    def test_exact_for_single_centers(self):
+        # One center a side within reach: Jensen's inequality is an equality.
+        f, g = Kde1d([0.3], 1e-5), Kde1d([0.3 + 2e-5], 2e-5)
+        assert kde._cip_lower_bound(f, g) == pytest.approx(cross_integral(f, g), rel=1e-12)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.integers(2000, 20000),
+        st.integers(2000, 20000),
+        st.floats(0.0, 3.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_tight_on_well_sampled_gaussians(self, n_f, n_g, distance, seed):
+        rng = np.random.default_rng(seed)
+        f = Kde1d(rng.normal(size=n_f), 1e-3)
+        g = Kde1d(rng.normal(loc=distance, size=n_g), 1e-3)
+        assert kde._cip_lower_bound(f, g) >= 0.8 * cross_integral(f, g)
 
 
 def _exact_density(f, grid):

@@ -205,8 +205,8 @@ def direction_inputs(draw, sigmas=(None, 0.3, 1e-3)):
     other class's (four-line-like). The classes may be pulled 10 to 40 apart,
     which leaves many angles below the screen's absolute error floor, and
     their points may be drawn with repetition from a few distinct ones. The
-    bandwidth is Silverman (None), 0.3 (the lattice screen) or 1e-3 (a
-    lattice too fine to build)."""
+    bandwidth is drawn from ``sigmas``: Silverman (None), 0.3 (the lattice
+    screen), or 1e-3 and 1e-5 (a lattice too fine to build)."""
     sizes = [int(round(2.0 ** draw(st.floats(1.0, math.log2(3000.0))))) for _ in range(2)]
     layout = draw(st.sampled_from(["gauss", "lines"]))
     separated = draw(st.booleans())
@@ -288,11 +288,21 @@ class TestScreenedDirection:
     def test_failed_recheck_scans_every_angle(self, rng, monkeypatch, sigma):
         data = gaussian_clouds(rng, (0, 0), (2, 1), 0.8, 300)
         expected = melc_direction(data, 180, bandwidth_override=sigma)
-        calls = []
-        monkeypatch.setattr(sweep_module, "cip", lambda pair: calls.append(pair) or cip(pair))
+        bounded = []
+
+        def lower_bound(f, g):
+            bounded.append((f.centers, g.centers))
+            return kde._cip_lower_bound(f, g)
+
+        monkeypatch.setattr(sweep_module, "_cip_lower_bound", lower_bound)
         monkeypatch.setattr(kde, "_SCREEN_MARGIN", 0.0)  # bounds below every error
         angle, direction = melc_direction(data, 180, bandwidth_override=sigma)
-        assert len(calls) > 180  # the candidates, then every angle
+        # The scan falls back to a binned bound of every angle, in angle order.
+        assert len(bounded) == 180
+        for (minus, plus), (_, grid_direction) in zip(bounded, angle_grid(180)):
+            expected_minus, expected_plus = project(data, grid_direction)
+            np.testing.assert_array_equal(minus, expected_minus)
+            np.testing.assert_array_equal(plus, expected_plus)
         assert angle == expected[0]
         np.testing.assert_array_equal(direction.components, expected[1].components)
 
@@ -333,18 +343,106 @@ class TestScreenedDirection:
         data = gaussian_clouds(rng, (0, 0), (2, 2), 1.0, 2000)
         directions = np.array([direction.components for _, direction in angle_grid(720)])
         assert kde._lattice_cip_screen(*data.class_points(), directions) is not None
+        # A scan of every angle holds one angle's pair and sum at a time.
+        one_angle = max(
+            traced_peak(lambda: cip(projected_pair(*project(data, direction))))
+            for _, direction in angle_grid(720)[::90]
+        )
+        assert traced_peak(lambda: melc_direction(data, 720)) <= one_angle + 1_000_000
+        monkeypatch.setattr(kde, "_SCREEN_MAX_NODES", 0)  # the binned bounds
+        assert traced_peak(lambda: melc_direction(data, 720)) <= one_angle + 1_000_000
 
-        def traced_peak():
-            tracemalloc.start()
+
+def traced_peak(run):
+    """Peak traced allocation of run(), in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def mirrored_classes(seed, scale):
+    """Two classes of 144 points, each 72 Gaussian points and their mirror
+    images in x, ordered so that a mirrored projection permutes the halves.
+    Every projection at angle pi - t is then the one at t permuted, and
+    where the directions are exact mirrors the potentials, and Silverman's
+    standard deviations of 2 x 72 points, are bit for bit equal."""
+    rng = np.random.default_rng(seed)
+    classes = []
+    for _ in range(2):
+        points = rng.standard_normal((72, 2)) * rng.uniform(0.2, 1.5, 2) + rng.uniform(-2, 2, 2)
+        classes.append(np.vstack([points, points * [-1.0, 1.0]]) * scale)
+    return LabeledDataset.from_arrays(np.vstack(classes), np.repeat([-1, 1], 144))
+
+
+class TestBinnedBoundDirection:
+    """``melc_direction`` where the lattice screen does not apply: angles are
+    evaluated best first from binned lower bounds, and the answer must be
+    the first-index argmin of a scan of every angle."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(direction_inputs(sigmas=(None, 1e-3, 1e-5)))
+    def test_returns_the_scan_argmin(self, inputs):
+        data, n, sigma = inputs
+        grid = angle_grid(n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kde, "_SCREEN_MAX_NODES", 0)
             try:
-                melc_direction(data, 720)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+                values = scan_values(data, n, sigma)
+            except DegenerateBandwidthError as error:
+                with pytest.raises(DegenerateBandwidthError, match=f"^{error}$"):
+                    melc_direction(data, n, bandwidth_override=sigma)
+                return
+            best = int(np.argmin(values))
+            angle, direction = melc_direction(data, n, bandwidth_override=sigma)
+        assert angle == grid[best][0]
+        np.testing.assert_array_equal(direction.components, grid[best][1].components)
 
-        screened = traced_peak()
-        monkeypatch.setattr(kde, "_SCREEN_MAX_NODES", 0)  # every angle in closed form
-        assert screened <= traced_peak() + 1_000_000
+    @pytest.mark.parametrize("sigma, scale", [(None, 1.0), (1e-3, 0.02), (1e-5, 2e-4)])
+    def test_mirror_tie_goes_to_the_first_angle(self, monkeypatch, sigma, scale):
+        data = mirrored_classes(22, scale)
+        values = scan_values(data, 12, sigma)
+        # Angles 2 and 10 (30 and 150 degrees) tie bit for bit at the minimum.
+        assert values[2] == values[10] == min(values)
+        assert values.index(min(values)) == 2
+        calls = []
+        monkeypatch.setattr(kde, "_SCREEN_MAX_NODES", 0)
+        monkeypatch.setattr(sweep_module, "cip", lambda pair: calls.append(pair) or cip(pair))
+        angle, direction = melc_direction(data, 12, bandwidth_override=sigma)
+        assert angle == angle_grid(12)[2][0]
+        np.testing.assert_array_equal(direction.components, angle_grid(12)[2][1].components)
+        assert 2 <= len(calls) < 12  # both tied angles, not every angle
+
+    def test_degenerate_classes_raise_as_the_scan(self, rng, monkeypatch):
+        monkeypatch.setattr(kde, "_SCREEN_MAX_NODES", 0)
+        other = rng.standard_normal((60, 2)) + 1.0
+        zero_spread = np.column_stack([np.zeros(50), rng.standard_normal(50)])
+        constant = np.column_stack([np.full(50, 0.3), rng.standard_normal(50)])
+        for minus, message in [
+            (zero_spread, "zero standard deviation"),
+            (constant, "zero standard deviation"),
+            (rng.standard_normal((1, 2)), "need at least 2 samples"),
+        ]:
+            data = LabeledDataset.from_arrays(
+                np.vstack([minus, other]), [-1] * len(minus) + [1] * 60
+            )
+            with pytest.raises(DegenerateBandwidthError, match=f"^degenerate bandwidth: {message}$"):
+                melc_direction(data, 36)
+
+    @pytest.mark.parametrize("sigma", [1e-3, 1e-5])
+    def test_binned_fallback_memory_within_1mb_of_one_angle(self, sigma):
+        rng = np.random.default_rng(600_001)
+        data = gaussian_clouds(rng, (0, 0), (2, 2), 1.0, 20000)
+        directions = np.array([direction.components for _, direction in angle_grid(360)])
+        assert kde._lattice_cip_screen(*data.class_points(), directions, sigma) is None
+        one_angle = max(
+            traced_peak(lambda: cip(projected_pair(*project(data, direction), sigma, sigma)))
+            for _, direction in angle_grid(360)[::90]
+        )
+        peak = traced_peak(lambda: melc_direction(data, 360, bandwidth_override=sigma))
+        assert peak <= one_angle + 1_000_000
 
 
 class TestBoundSweep:
