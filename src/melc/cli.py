@@ -7,6 +7,7 @@ argmin/argmax summaries and run configuration.
 """
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -182,25 +183,22 @@ def cmd_table(config: RunConfig) -> int:
                 dataset_name=os.path.basename(str(path)),
             )
         )
-    with open(config.output, "w", encoding="utf-8") as handle:
+    with open(config.output, "w", encoding="utf-8", newline="") as handle:
         handle.write(
             "dataset,E_hinge,cos_hinge,E_melc,cos_melc,hinge_separable,melc_separable\n"
         )
-        for row in rows:
-            handle.write(
-                ",".join(
-                    [
-                        row.dataset,
-                        _fmt(row.e_hinge),
-                        _fmt(row.cos_hinge),
-                        _fmt(row.e_melc),
-                        _fmt(row.cos_melc),
-                        str(row.hinge_separable).lower(),
-                        str(row.melc_separable).lower(),
-                    ]
-                )
-                + "\n"
-            )
+        csv.writer(handle, lineterminator="\n").writerows(
+            [
+                row.dataset,
+                _fmt(row.e_hinge),
+                _fmt(row.cos_hinge),
+                _fmt(row.e_melc),
+                _fmt(row.cos_melc),
+                str(row.hinge_separable).lower(),
+                str(row.melc_separable).lower(),
+            ]
+            for row in rows
+        )
     return 0
 
 

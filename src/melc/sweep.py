@@ -11,6 +11,7 @@ the Silverman rule per class and per angle.
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -308,18 +309,33 @@ def compare(
     grid_points: int = DEFAULT_GRID_POINTS,
     dataset_name: str = "",
 ) -> ComparisonRow:
-    """Sweep the dataset and compare surrogate optima with direct-error optima.
+    """Compare surrogate optima with direct-error optima over the n-point grid.
 
     The hinge side pits the hinge-optimal direction against the best
     single-threshold balanced error; the entropy side pits the cross-entropy
-    maximizer against the smallest balanced Bayes risk. Sides whose best error
-    is numerically zero are flagged separable and report absolute gaps.
+    maximizer, the direction ``classify`` trains (``melc_direction``), against
+    the smallest balanced Bayes risk. Sides whose best error is numerically
+    zero are flagged separable and report absolute gaps.
     """
-    records = sweep(data, n, bandwidth_override, grid_points)
-    at_hinge = select_best(records, "hinge", minimize=True)
-    at_linear = select_best(records, "linear01", minimize=True)
-    at_entropy = select_best(records, "h2x", minimize=False)
-    at_bayes = select_best(records, "eaa_risk", minimize=True)
+    data.require_both_classes()
+
+    def evaluate(angle, direction):
+        minus, plus = project(data, direction)
+        pair = projected_pair(minus, plus, bandwidth_override, bandwidth_override)
+        return SimpleNamespace(
+            angle=angle,
+            direction=direction,
+            hinge=best_bias_hinge(minus, plus)[1],
+            linear01=best_single_threshold_error(minus, plus),
+            eaa_risk=overlap_integral(pair, grid_points) / 2.0,
+        )
+
+    rows = [evaluate(*entry) for entry in angle_grid(n)]
+    at_hinge = select_best(rows, "hinge", minimize=True)
+    at_linear = select_best(rows, "linear01", minimize=True)
+    entropy_angle, _ = melc_direction(data, n, bandwidth_override)
+    at_entropy = next(row for row in rows if row.angle == entropy_angle)
+    at_bayes = select_best(rows, "eaa_risk", minimize=True)
 
     e_hinge, hinge_sep = _error_and_flag(at_hinge.linear01, at_linear.linear01)
     e_melc, melc_sep = _error_and_flag(at_entropy.eaa_risk, at_bayes.eaa_risk)

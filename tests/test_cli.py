@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -137,6 +138,21 @@ class TestTableCommand:
         assert header == ["dataset", "E_hinge", "cos_hinge", "E_melc", "cos_melc",
                           "hinge_separable", "melc_separable"]
         assert [row[0] for row in rows] == ["two.csv", "mixed.csv"]
+
+    def test_dataset_names_are_quoted_csv_fields(self, tmp_path, two_gauss_csv):
+        names = ['a,b.csv', 'say "hi".csv']
+        for name in names:
+            (tmp_path / name).write_bytes(two_gauss_csv.read_bytes())
+        out = tmp_path / "table.csv"
+        assert run(["table", "--data", tmp_path / names[0], "--data", tmp_path / names[1],
+                    "--data", two_gauss_csv, "--out", out, "--angles", "12"]) == 0
+        with open(out, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert [len(row) for row in rows] == [7] * 4
+        assert [row[0] for row in rows[1:]] == names + ["two.csv"]
+        assert rows[1][1:] == rows[2][1:] == rows[3][1:]
+        # Names that need no quoting are written as before.
+        assert out.read_text().splitlines()[3] == ",".join(rows[3])
 
     def test_four_line_flags_separable_with_small_sigma(self, tmp_path):
         line = tmp_path / "line.csv"

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from melc import kde
+from melc import kde, objectives
+from melc.datasets import DatasetSpec, generate
 from melc.geometry import LabeledDataset, UnitDirection, cosine_alignment, project
 from melc.kde import DegenerateBandwidthError, silverman_bandwidth
 from melc.objectives import cip, projected_pair, renyi_entropy, rescaled_pair
@@ -512,7 +513,107 @@ class TestRelativeError:
             relative_error(0.2, 0.0)
 
 
+def sweep_compare(data, n, bandwidth_override=None, name=""):
+    """The comparison read off a full sweep: every column at every angle, and
+    the entropy angle by ``select_best`` on h2x, whose ties go to the
+    smaller angle."""
+    records = sweep(data, n, bandwidth_override)
+    return comparison_row(records, select_best(records, "h2x", minimize=False), name)
+
+
+def comparison_row(records, at_entropy, name=""):
+    at_hinge = select_best(records, "hinge", minimize=True)
+    at_linear = select_best(records, "linear01", minimize=True)
+    at_bayes = select_best(records, "eaa_risk", minimize=True)
+    e_hinge, hinge_sep = sweep_module._error_and_flag(at_hinge.linear01, at_linear.linear01)
+    e_melc, melc_sep = sweep_module._error_and_flag(at_entropy.eaa_risk, at_bayes.eaa_risk)
+    return ComparisonRow(
+        dataset=name,
+        e_hinge=e_hinge,
+        cos_hinge=cosine_alignment(at_hinge.direction, at_linear.direction),
+        e_melc=e_melc,
+        cos_melc=cosine_alignment(at_entropy.direction, at_bayes.direction),
+        hinge_separable=hinge_sep,
+        melc_separable=melc_sep,
+    )
+
+
+def comparison_inputs():
+    """(label, data, sigma) parameters: separable and overlapping data at
+    the Silverman rule, one wide and one narrow shared bandwidth."""
+    rng = np.random.default_rng(515)
+    datasets = [
+        ("separable", gaussian_clouds(rng, (0, 0), (12, 0), 0.4, 60)),
+        ("overlapping", gaussian_clouds(rng, (0, 0), (1.0, 0.5), 1.0, 80)),
+        ("four-line", generate(DatasetSpec(name="four-line", seed=7, n_per_component=40))),
+        ("four-mixed", generate(DatasetSpec(name="four-mixed", seed=901, n_per_component=40))),
+    ]
+    return [
+        pytest.param(label, data, sigma, id=f"{label}-{sigma}")
+        for sigma in (None, 0.02, 1e-3)
+        for label, data in datasets
+    ]
+
+
 class TestCompare:
+    @pytest.mark.parametrize("label, data, sigma", comparison_inputs())
+    def test_matches_the_full_sweep(self, label, data, sigma):
+        row = compare(data, 36, bandwidth_override=sigma, dataset_name=label)
+        assert row == sweep_compare(data, 36, sigma, name=label)
+        # Both regimes occur: four-line separates only under a shared bandwidth.
+        separable = label == "separable" or label == "four-line" and sigma is not None
+        assert row.melc_separable == separable
+
+    def test_degenerate_class_raises_as_the_sweep(self, rng):
+        # A zero x spread degenerates angle 0 only, which the direction scan
+        # need not evaluate: the per-angle loop has to raise first.
+        other = rng.standard_normal((60, 2)) + 1.0
+        zero_spread = np.column_stack([np.zeros(50), rng.standard_normal(50)])
+        for minus, message in [
+            (zero_spread, "zero standard deviation"),
+            (rng.standard_normal((1, 2)), "need at least 2 samples"),
+        ]:
+            data = LabeledDataset.from_arrays(
+                np.vstack([minus, other]), [-1] * len(minus) + [1] * 60
+            )
+            pattern = f"^degenerate bandwidth: {message}$"
+            for run in (sweep_compare, compare):
+                with pytest.raises(DegenerateBandwidthError, match=pattern):
+                    run(data, 8)
+
+    def test_reads_no_entropy_column(self, monkeypatch):
+        data = generate(DatasetSpec(name="two-gauss", seed=42, n_per_component=300))
+        expected = sweep_compare(data, 90, name="two")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("compare evaluated a column it does not compare")
+
+        monkeypatch.setattr(sweep_module, "sweep", forbidden)
+        monkeypatch.setattr(sweep_module, "renyi_entropy", forbidden)
+        monkeypatch.setattr(objectives, "renyi_entropy", forbidden)
+        monkeypatch.setattr(objectives, "self_integral", forbidden)
+        monkeypatch.setattr(kde, "self_integral", forbidden)
+        calls = []
+        monkeypatch.setattr(sweep_module, "cip", lambda pair: calls.append(pair) or cip(pair))
+        assert compare(data, 90, dataset_name="two") == expected
+        assert 1 <= len(calls) < 90
+
+    def test_h2x_tie_goes_to_the_smaller_cip(self):
+        # Angles 3 and 4 of 7 (3 pi / 7 and 4 pi / 7) are mirror images whose
+        # directions differ in the last bits, so their potentials differ by a
+        # few ulps and round to one h2x.
+        data = mirrored_classes(5, 1.0)
+        values = scan_values(data, 7, None)
+        assert values[4] < values[3] and values[4] == min(values)
+        assert -math.log(values[3]) == -math.log(values[4]) == max(-math.log(v) for v in values)
+        records = sweep(data, 7)
+        assert select_best(records, "h2x", minimize=False) is records[3]
+        assert melc_direction(data, 7)[0] == records[4].angle
+        row = compare(data, 7)
+        # The direction classify trains, not the smaller angle of the h2x tie.
+        assert row == comparison_row(records, records[4])
+        assert row != sweep_compare(data, 7)
+
     def test_aligned_separable_dataset(self, rng):
         data = gaussian_clouds(rng, (0, 0), (12, 0), 0.4, 60)
         row = compare(data, 36, dataset_name="aligned")
