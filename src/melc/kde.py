@@ -8,7 +8,8 @@ stack builds on: no quadrature is involved in ``cross_integral``.
 The O(N^2) layers have two evaluators. The direct one sums every kernel
 pair, or every kernel at every grid node, that lies within ``_CUTOFF_STDS``
 standard deviations. For pair sums it visits only those pairs, target by
-target, and keeps numpy's ``exp`` off the arguments that underflow or give
+target, takes a far closest pair's exponent exactly and the others relative
+to it, and keeps numpy's ``exp`` off the arguments that underflow or give
 subnormals, which leave its vector loop and cost 15 to 100 times more per
 element. The binned one serves wide kernels (Greengard & Strain
 1991, the fast Gauss transform; Wand 1994, binned KDE): it assigns every
@@ -27,7 +28,10 @@ kept only where it is far below the result:
 - ``binned_density_on_grid`` evaluates a density on a ``np.linspace`` grid by
   FFT convolution with closed-form kernel spectra when the grid step is small
   against the bandwidth (at most 12 terms reach a remainder of 1e-17 of a
-  kernel's peak). Its error is about 1e-16 of the peak density at every node.
+  kernel's peak). The moments sit on every D-th node, D r <= 0.08 for a step
+  of r bandwidths, so their transforms are D times shorter than the one
+  inverse transform that gives every node. Its error is about 1e-16 of the
+  peak density at every node.
 
 ``kde_eval`` truncates nothing; the tests take it as the oracle.
 ``eval_on_sorted_grid`` is always direct. It sums each node's terms in the
@@ -56,6 +60,7 @@ to order the angles it evaluates in closed form and to stop early.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -87,6 +92,9 @@ _BAND_BUDGET = 1 << 15
 # per element) or are subnormal (about 130 ns), against about 1.2 ns in range
 # (measured on a 2-vCPU x86 host), so no smaller exponent is passed to it.
 _EXP_FLOOR = -700.0
+# The direct pair sum's closest pair: below this exponent E its rounding,
+# about 1.5 |E| eps of the sum, could pass 1e-14, so it is taken exactly.
+_EXACT_EXP = -30.0
 # exp of an exponent below -_EXP_ZERO is exactly 0: the smallest subnormal is
 # exp(-744.4). The grid evaluator drops such terms instead.
 _EXP_ZERO = 746.0
@@ -165,6 +173,15 @@ _LOWER_BOUND_BINS = 3
 # step is too coarse for the expansion and the direct evaluator is used.
 _GRID_REMAINDER = 1e-17
 _GRID_MAX_TERMS = 12
+# The moments sit on a sub-lattice of every D-th node, D the largest 5-smooth
+# factor whose step is at most this many bandwidths (10 terms). Below pi / 39
+# the kernel spectra, exp(-xi^2/2) times polynomials, underflow before the
+# sub-lattice's Nyquist frequency.
+_GRID_COARSE_STEP = 0.08
+# (-1)^(q // 2) / q!: the sign of (-i)^q's nonzero part over q factorial.
+_GRID_SIGNED_FACTORIALS = np.array(
+    [(-1) ** (q // 2) / math.factorial(q) for q in range(_GRID_MAX_TERMS)]
+)
 # Below this many kernel evaluations (centers times grid nodes within reach)
 # the direct evaluator is the cheaper one.
 _GRID_MIN_EVALS = 1 << 18
@@ -397,57 +414,87 @@ def binned_density_on_grid(f: Kde1d, grid: np.ndarray) -> np.ndarray | None:
     ratio = (grid[-1] - grid[0]) / (grid.size - 1) / f.bandwidth
     if not ratio > 0:  # an empty or descending window
         return None
-    terms = _grid_terms(ratio)
     reach = min(grid.size, 2.0 * _CUTOFF_STDS / ratio)
     too_long = (_CUTOFF_STDS + 1.0) / ratio > (_GRID_MAX_LENGTH - 1) * grid.size
-    if terms is None or too_long or f.centers.size * reach < _GRID_MIN_EVALS:
+    if _grid_terms(ratio) is None or too_long or f.centers.size * reach < _GRID_MIN_EVALS:
         return None
-    return _binned_density(f, grid, terms)
+    return _binned_density(f, grid)
 
 
-def _binned_density(f: Kde1d, grid: np.ndarray, terms: int) -> np.ndarray | None:
-    """Density on a linspace grid from ``terms`` Taylor moments per node and
-    one batched FFT convolution; None when a center lies outside the grid.
+def _grid_factor(ratio: float) -> int:
+    """The sub-lattice factor for a grid of step ``ratio`` bandwidths: the
+    largest 5-smooth D with D * ratio <= _GRID_COARSE_STEP, or 1."""
+    factor = max(1, int(_GRID_COARSE_STEP / ratio))
+    while _transform_length(factor) != factor:
+        factor -= 1
+    return factor
 
-    Each center is assigned to its nearest node k, at an offset v from the
-    node in bandwidths. With u the node distance g - k in bandwidths,
+
+def _binned_density(f: Kde1d, grid: np.ndarray) -> np.ndarray | None:
+    """Density on a linspace grid from Taylor moments on every D-th node and
+    one full-length inverse FFT; None when a center lies outside the grid.
+
+    Each center is assigned to its nearest node k of the sub-lattice of
+    every D-th grid node, at an offset v from that node in bandwidths. With u
+    the distance from k to a grid node in bandwidths,
 
         exp(-(u - v)^2 / 2) = sum_q [u^q exp(-u^2/2) / q!] [v^q exp(-v^2/2)],
 
-    so the density is a sum over q of per-node moments convolved with fixed
-    kernels. The nodes are taken as exactly uniform, which np.linspace's
-    nodes are up to their own rounding. For a step of r bandwidths the q-th
-    kernel, wrapped with period L, has the DFT sqrt(2 pi) / r (-i)^q
-    He_q(xi) / q! exp(-xi^2 / 2) at xi = 2 pi m / (L r), up to aliasing below
-    1e-50 for every r that _grid_terms admits; L >= n + 11 / r keeps the
-    wrapped images 11 bandwidths from every output node.
+    so the density is a sum over q of per-node moments, zero off the
+    sub-lattice, convolved with fixed kernels sampled on the grid. The nodes
+    are taken as exactly uniform, which np.linspace's nodes are up to their
+    own rounding; the offsets are taken from the nodes themselves. For a step
+    of r bandwidths the q-th kernel, wrapped with period L, has the DFT
+    sqrt(2 pi) / r (-i)^q He_q(xi) / q! exp(-xi^2 / 2) at xi = 2 pi m / (L r),
+    up to aliasing below 1e-50 for every r that _grid_terms admits. With L
+    a multiple of D, the DFT of moments that are zero off the sub-lattice is
+    the DFT of length L / D of the sub-lattice moments, repeated; since
+    D r <= _GRID_COARSE_STEP < pi / 39, the spectra vanish before its
+    Nyquist frequency, so the short transforms serve as they are. A center
+    half a step past the last node may sit nearest a sub-lattice node less
+    than D steps beyond it, and L >= n + D + 11 / r keeps every wrapped image
+    11 bandwidths from every output node.
     """
     n = grid.size
     step = (grid[-1] - grid[0]) / (n - 1)
     ratio = step / f.bandwidth
-    nodes = np.rint((f.centers - grid[0]) / step).astype(np.intp)
+    factor = _grid_factor(ratio)
+    terms = _grid_terms(factor * ratio)
+    scaled = (f.centers - grid[0]) / step
+    nodes = np.rint(scaled)
     if nodes.min() < 0 or nodes.max() >= n:
         return None
-    offsets = (f.centers - grid[nodes]) / f.bandwidth
-    # powers[q] = v^q exp(-v^2/2), summed per (term, node) by one bincount.
+    coarse = np.rint(scaled / factor).astype(np.intp)
+    # The grid's nodes, and the sub-lattice nodes past its end.
+    lattice = np.concatenate([grid, grid[-1] + step * np.arange(1, factor + 1)])
+    offsets = (f.centers - lattice[factor * coarse]) / f.bandwidth
+    short = _transform_length(-(-(n + factor + math.ceil((_CUTOFF_STDS + 1.0) / ratio)) // factor))
+    size = factor * short
+    # powers[q] = v^q exp(-v^2/2), summed per (term, node) by one bincount
+    # into rows of the short transform's length.
     powers = np.empty((terms, offsets.size))
     powers[0] = np.exp(-0.5 * offsets * offsets)
     for q in range(1, terms):
         np.multiply(powers[q - 1], offsets, out=powers[q])
-    index = nodes + n * np.arange(terms)[:, None]
-    moments = np.bincount(index.ravel(), weights=powers.ravel(), minlength=terms * n)
-    size = _transform_length(n + math.ceil((_CUTOFF_STDS + 1.0) / ratio))
+    index = coarse + short * np.arange(terms)[:, None]
+    moments = np.bincount(index.ravel(), weights=powers.ravel(), minlength=terms * short)
     # exp(-xi^2/2) underflows to zero from xi = 39 on, and so do the spectra.
-    count = min(size // 2 + 1, math.ceil(39.0 * size * ratio / (2.0 * math.pi)))
+    count = min(short // 2 + 1, math.ceil(39.0 * size * ratio / (2.0 * math.pi)))
     xi = np.arange(count) * (2.0 * math.pi / (size * ratio))
-    # He_q(xi) exp(-xi^2/2) / q! times (-i)^q, by the Hermite recurrence.
-    spectra = np.empty((terms, xi.size), dtype=complex)
-    previous, current = 0.0, np.exp(-0.5 * xi * xi)
-    for q in range(terms):
-        spectra[q] = current * (-1j) ** q / math.factorial(q)
-        previous, current = current, xi * current - q * previous
-    spectra *= np.fft.rfft(moments.reshape(terms, n), size, axis=1)[:, : xi.size]
-    density = np.fft.irfft(spectra.sum(axis=0), size)[:n]
+    # hermite[q] = He_q(xi) exp(-xi^2/2) by the Hermite recurrence, then
+    # times 1 / q! and the sign of (-i)^q's nonzero part, (-1)^(q // 2).
+    hermite = np.empty((terms, count))
+    hermite[0] = np.exp(-0.5 * xi * xi)
+    np.multiply(xi, hermite[0], out=hermite[1])
+    for q in range(1, terms - 1):
+        np.multiply(xi, hermite[q], out=hermite[q + 1])
+        hermite[q + 1] -= q * hermite[q - 1]
+    hermite *= _GRID_SIGNED_FACTORIALS[:terms, None]
+    transforms = np.fft.rfft(moments.reshape(terms, short), axis=1)[:, :count]
+    transforms *= hermite
+    # The even terms' factors (-i)^q are real and the odd terms' imaginary.
+    spectrum = transforms[0::2].sum(axis=0) - 1j * transforms[1::2].sum(axis=0)
+    density = np.fft.irfft(spectrum, size)[:n]
     # sqrt(2 pi) / r over the mixture's N sigma sqrt(2 pi) is 1 / (N step).
     return density / (f.centers.size * step)
 
@@ -497,12 +544,17 @@ class _Band:
             self.blocks.append((slice(start, stop), width))
             start = stop
 
-    def squared_distances(self, targets: np.ndarray):
+    def differences(self, targets: np.ndarray):
         """Per block, yields (rows, w): the slice of rows and a fresh array
-        of (a_i - targets[r])^2 over row r's window, +inf past it."""
+        of a_i - targets[r] over row r's window, +inf past it."""
         for rows, width in self.blocks:
             w = self.windows[self.first[rows], :width]
             w -= targets[rows, None]
+            yield rows, w
+
+    def squared_distances(self, targets: np.ndarray):
+        """As ``differences``, squared."""
+        for rows, w in self.differences(targets):
             np.multiply(w, w, out=w)
             yield rows, w
 
@@ -553,21 +605,26 @@ def _direct_pair_sum(a: np.ndarray, b: np.ndarray, var_sum: float) -> float:
 
     Each target b_j has a window of centers within that reach, found by
     ``searchsorted`` and summed by ``_Band``. Terms past a row's window are
-    clamped at the reach and their known total is subtracted, so exp never
-    sees an exponent below _EXP_FLOOR: where the reach's would be, all
-    exponents are taken relative to the closest pair's and the sum is scaled
-    back. A self pair (``b is a``) sums i < j only.
+    clamped at the reach and their known total is subtracted. Where the
+    closest pair's exponent is below _EXACT_EXP, its rounding would show in
+    the sum, so it is taken exactly and every term relative to it: a pair at
+    distance d adds exp(-(d - d_min)(d + d_min) / (2 var_sum)), which is 1
+    for the closest pair, and the sum is scaled back once. exp then never
+    sees an exponent below _EXP_FLOOR. A self pair (``b is a``) sums i < j
+    only.
     """
     inv2s2 = 0.5 / var_sum
-    d_min = 0.0 if b is a else float(_nearest_distances(a, b).min())
-    reach = d_min + _CUTOFF_STDS * math.sqrt(var_sum)
-    reach2 = reach * reach
-    shift, scale = 0.0, 1.0
-    if reach2 * -inv2s2 < _EXP_FLOOR:
-        shift = d_min * d_min * -inv2s2
-        scale = math.exp(shift)
+    d_min, scale = 0.0, 1.0
+    if b is not a:
+        gaps = _nearest_distances(a, b)
+        j = int(np.argmin(gaps))
+        d_min = float(gaps[j])
+    relative = d_min * d_min * -inv2s2 < _EXACT_EXP
+    if relative:
+        scale = _closest_term(a, b[j], d_min, var_sum)
         if scale == 0.0:  # every term underflows
             return 0.0
+    reach = d_min + _CUTOFF_STDS * math.sqrt(var_sum)
     hi = np.searchsorted(a, b + reach, side="right")
     if b is a:
         lo = np.arange(1, a.size + 1)  # i < j
@@ -576,19 +633,43 @@ def _direct_pair_sum(a: np.ndarray, b: np.ndarray, var_sum: float) -> float:
     counts = hi - lo
     rows = np.flatnonzero(counts)
     counts = counts[rows]
+    band = _Band(a, lo[rows], counts)
+    if relative:
+        pieces = band.differences(b[rows])
+        edge = (reach - d_min) * (reach + d_min) * -inv2s2
+    else:
+        reach2 = reach * reach
+        pieces = band.squared_distances(b[rows])
+        edge = reach2 * -inv2s2
     total, clamped = 0.0, 0
-    for block, w in _Band(a, lo[rows], counts).squared_distances(b[rows]):
-        np.minimum(w, reach2, out=w)
+    for block, w in pieces:
+        if relative:  # (d - d_min)(d + d_min), d = |a_i - b_j| up to the reach
+            np.abs(w, out=w)
+            np.minimum(w, reach, out=w)
+            far = w + d_min
+            w -= d_min
+            w *= far
+        else:
+            np.minimum(w, reach2, out=w)
         w *= -inv2s2
-        if shift:
-            w -= shift
         np.exp(w, out=w)
         total += float(w.sum())
         clamped += w.size - int(counts[block].sum())
     if clamped:
-        total -= clamped * math.exp(reach2 * -inv2s2 - shift)
+        total -= clamped * math.exp(edge)
     total *= scale
     return a.size + 2.0 * total if b is a else total
+
+
+def _closest_term(a: np.ndarray, x: float, d_min: float, var_sum: float) -> float:
+    """exp(-(x - a_k)^2 / (2 var_sum)) for the a_k nearest to x, at distance
+    d_min as rounded, from its exponent taken exactly and rounded to a
+    double-double hi + lo: exp(hi) (1 + lo)."""
+    k = int(np.searchsorted(a, x))
+    nearest = a[k - 1] if k > 0 and x - a[k - 1] == d_min else a[k]
+    exponent = -((Fraction(float(x)) - Fraction(float(nearest))) ** 2) / (2 * Fraction(var_sum))
+    hi = float(exponent)
+    return math.exp(hi) * (1.0 + float(exponent - Fraction(hi)))
 
 
 def _gaussian_derivatives(x: np.ndarray, terms: int) -> np.ndarray:

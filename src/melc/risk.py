@@ -70,8 +70,9 @@ _BINNED_OVERLAP_MIN = 1e-3
 
 # The threshold scan takes a node's sign from the binned densities where
 # |f_plus - f_minus| exceeds this share of the larger kernel peak. Against the
-# direct evaluator the binned error measured at most 1.2e-15 of a kernel peak
-# (three datasets, three seeds, 200 to 2000 points a class, 24 angles). It
+# direct evaluator the binned error measured at most 1.12e-15 of a kernel peak
+# (three datasets, three seeds, 200 to 2000 points a class, 24 angles: 1296
+# densities, the largest at four-line's angle 0 with 2000 a class). It
 # grows with the nodes' rounding, about 0.01 eps |x| / sigma of a peak at
 # offsets |x| far beyond sigma, which the second term covers 1000 times over.
 _SIGN_MARGIN = 1e-12

@@ -300,6 +300,10 @@ class TestDirectPairSum:
     @settings(max_examples=40, deadline=None)
     @given(band_inputs())
     @example((np.array([0.0]), np.array([100.0]), 1.0))  # 0 in float64 only
+    # One dominant far pair, whose exponent (-608, and -358 where the reach's
+    # exponent stays above _EXP_FLOOR) rounds by about |exponent| eps.
+    @example((np.array([0.0020568920611029294]), np.array([0.03693155961685489]), 1e-6))
+    @example((np.array([0.003963834433342464]), np.array([0.030717317736059103]), 1e-6))
     def test_matches_exact_sum(self, inputs):
         a, b, var_sum = inputs
         exact = _exact_pair_sum(a, b, var_sum)
@@ -578,8 +582,7 @@ class TestBinnedGridDensity:
             np.random.default_rng(seed).normal(loc, spread, size=size), -7.0, 7.0
         )
         f = Kde1d(centers, sigma)
-        terms = kde._grid_terms(1.0 / 256.0 / sigma)
-        binned = kde._binned_density(f, grid, terms)
+        binned = kde._binned_density(f, grid)
         direct = eval_on_sorted_grid(f, grid)
         exact = _exact_density(f, grid)
         peak = float(exact.max())
@@ -607,10 +610,65 @@ class TestBinnedGridDensity:
             )
             grid = np.linspace(0.0, 1.0, 4096)
             f = pair.f_minus
-        terms = kde._grid_terms((grid[-1] - grid[0]) / (grid.size - 1) / f.bandwidth)
         exact = _exact_density(f, grid)
-        binned = kde._binned_density(f, grid, terms)
+        binned = kde._binned_density(f, grid)
         assert float(np.max(np.abs(binned - exact))) <= 1e-15 * float(exact.max())
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+        reason="needs an extended-precision long double",
+    )
+    @pytest.mark.parametrize("factor", [2, 4, 10, 25])
+    def test_coarsest_sub_lattice_with_centers_on_the_end_nodes(self, factor, rng):
+        # The largest step the sub-lattice admits, D r just below 0.08. The
+        # last node, 4095, is off every one of these sub-lattices, and a
+        # center there sits nearest a sub-lattice node past the grid's end.
+        grid = np.linspace(-8.0, -8.0 + 4095.0 / 256.0, 4096)
+        ratio = kde._GRID_COARSE_STEP / factor * (1.0 - 1e-12)
+        assert kde._grid_factor(ratio) == factor
+        assert 4095 % factor and round(4095 / factor) * factor > 4095
+        centers = np.concatenate([np.clip(rng.normal(0.0, 2.0, 1000), -7.0, 7.0), grid[[0, -1]]])
+        f = Kde1d(centers, 1.0 / 256.0 / ratio)
+        exact = _exact_density(f, grid)
+        binned = kde._binned_density(f, grid)
+        assert float(np.max(np.abs(binned - exact))) <= 1e-15 * float(exact.max())
+
+    def test_one_full_length_transform(self, rng, monkeypatch):
+        # The moments' transforms are short; only the inverse transform
+        # spans the grid.
+        lengths = []
+
+        class RecordingFft:
+            def __getattr__(self, name):
+                return getattr(np.fft, name)
+
+            @staticmethod
+            def rfft(a, n=None, axis=-1, **kwargs):
+                a = np.asarray(a)
+                lengths.extend([n or a.shape[axis]] * (a.size // a.shape[axis]))
+                return np.fft.rfft(a, n, axis, **kwargs)
+
+            @staticmethod
+            def irfft(a, n=None, axis=-1, **kwargs):
+                a = np.asarray(a)
+                lengths.extend([n or 2 * (a.shape[axis] - 1)] * (a.size // a.shape[axis]))
+                return np.fft.irfft(a, n, axis, **kwargs)
+
+        class RecordingNumpy:
+            fft = RecordingFft()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        centers = rng.normal(size=1000)
+        sigma = silverman_bandwidth(centers)
+        grid = np.linspace(centers.min() - 8.0 * sigma, centers.max() + 8.0 * sigma, 4096)
+        f = Kde1d(centers, sigma)
+        expected = binned_density_on_grid(f, grid)
+        monkeypatch.setattr(kde, "np", RecordingNumpy())
+        got = binned_density_on_grid(f, grid)
+        assert sum(length >= grid.size for length in lengths) == 1
+        np.testing.assert_array_equal(got, expected)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 10**7))
