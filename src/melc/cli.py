@@ -30,6 +30,7 @@ from .datasets import (
 from .geometry import LabeledDataset, project
 from .objectives import projected_pair
 from .risk import (
+    _MIN_GRID_POINTS,
     DEFAULT_GRID_POINTS,
     build_multithreshold_model,
     classify,
@@ -67,8 +68,8 @@ class RunConfig:
     def __post_init__(self):
         if self.angles < 2:
             raise ValueError("--angles must be at least 2")
-        if self.grid_points < 64:
-            raise ValueError("--grid-points must be at least 64")
+        if self.grid_points < _MIN_GRID_POINTS:
+            raise ValueError(f"--grid-points must be at least {_MIN_GRID_POINTS}")
 
 
 def _fmt(value) -> str:

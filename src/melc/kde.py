@@ -1,9 +1,9 @@
 """One-dimensional Gaussian-mixture kernel density estimation.
 
 A ``Kde1d`` places one Gaussian kernel of a common bandwidth on every center
-with uniform weight 1/N, so the density integrates to 1 analytically. Products
-of two such mixtures integrate in closed form, which is what the objective
-stack builds on: no quadrature is involved in ``cross_integral``.
+with uniform weight 1/N, so the density integrates to 1 analytically. The
+product of two such mixtures integrates in closed form to a sum over kernel
+pairs, which is what the objective stack builds on.
 
 The O(N^2) layers have two evaluators. The direct one sums every kernel
 pair, or every kernel at every grid node, that lies within ``_CUTOFF_STDS``
@@ -11,27 +11,21 @@ standard deviations. For pair sums it visits only those pairs, target by
 target, takes a far closest pair's exponent exactly and the others relative
 to it, and keeps numpy's ``exp`` off the arguments that underflow or give
 subnormals, which leave its vector loop and cost 15 to 100 times more per
-element. The binned one serves wide kernels (Greengard & Strain
-1991, the fast Gauss transform; Wand 1994, binned KDE): it assigns every
-center to the nearest node of a uniform lattice, carries per-node Taylor
-moments of the offsets from those nodes, and contracts them with the Gaussian
-and its derivatives at the node distances. Its error is absolute, so it is
-kept only where it is far below the result:
-
-- Pair sums (``cross_integral``, ``self_integral``) use bins of a quarter of
-  the pair kernel's standard deviation and 16 terms, when the centers span at
-  most 64 standard deviations and the direct sum would compute more than
-  2^17 + 8 * bins^2 pairs. The result is kept only when it is at least
-  1e-4 per pair, which holds its absolute error of about 1e-16 per pair to
-  1e-12 relative. Narrow kernels, small inputs and tiny or separable sums take
-  the direct path and return its value bit for bit.
-- ``binned_density_on_grid`` evaluates a density on a ``np.linspace`` grid by
-  FFT convolution with closed-form kernel spectra when the grid step is small
-  against the bandwidth (at most 12 terms reach a remainder of 1e-17 of a
-  kernel's peak). The moments sit on every D-th node, D r <= 0.08 for a step
-  of r bandwidths, so their transforms are D times shorter than the one
-  inverse transform that gives every node. Its error is about 1e-16 of the
-  peak density at every node.
+element. The binned one, ``binned_density_on_grid``, serves wide kernels
+(Wand 1994, binned KDE; Greengard & Strain 1991, the fast Gauss transform):
+it evaluates a density on a ``np.linspace`` grid by FFT convolution of
+per-node Taylor moments of the centers' offsets from the nodes with
+closed-form kernel spectra, when the grid step is small against the
+bandwidth (at most 12 terms reach a remainder of 1e-17 of a kernel's peak).
+The moments sit on every D-th node, D r <= 0.08 for a step of r bandwidths,
+so their transforms are D times shorter than the one inverse transform that
+gives every node. Its error is absolute, about 1e-16 of the peak density at
+every node. It serves the overlap quadrature and the threshold scan of
+``melc.risk``, and the pair sums (``cross_integral``, ``self_integral``):
+where the direct sum would cost more, those are the trapezoid sum of both
+binned densities on the pair window, kept when far above their error
+(``_grid_pair_integral``). Narrow kernels, small inputs and tiny or
+separable sums take the direct path and return its value bit for bit.
 
 ``kde_eval`` truncates nothing; the tests take it as the oracle.
 ``eval_on_sorted_grid`` is always direct. It sums each node's terms in the
@@ -64,7 +58,7 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .geometry import AffineMap1d
 
@@ -105,34 +99,24 @@ _EXP_ZERO = 746.0
 _BOUND_EXP = -740.0
 _BOUND_MARGIN = math.log(1.02)
 
-# Binned pair sums. Bins of a quarter standard deviation keep every center
-# within 1/8 of its bin node, so a pair's offset from its bin distance is at
-# most 1/4; with Cramer's bound |h_n| <= 1.09 sqrt(n!), the terms from 16 on
-# add at most 6e-17 per pair.
-_PAIR_BINS_PER_STD = 4
-_PAIR_TERMS = 16
-# Wider spans take the direct sum: the binned cost grows with the bins squared.
+# Pair sums on the grid (``_grid_pair_integral``): _PAIR_GRID_POINTS nodes
+# over the centers padded by _WINDOW_STDS of the wider bandwidth, past which
+# the product's tail is below 1e-15 of a pair's term. Centers spanning more
+# pair standard deviations than _PAIR_MAX_SPAN_STDS take the direct sum.
+_WINDOW_STDS = 8.0
+_PAIR_GRID_POINTS = 4096
 _PAIR_MAX_SPAN_STDS = 64.0
-_PAIR_MAX_BINS = int(_PAIR_MAX_SPAN_STDS * _PAIR_BINS_PER_STD) + 1
-# Cost model, measured on a 2-vCPU x86 host: the direct sum takes about
-# 3.5 ns per pair within its reach at 1000 to 3000 centers a side (a self
-# pair half that, as it visits i < j only; more below 1000 centers, where its
-# fixed cost shows), the binned one about 0.3 ms plus 20 ns per pair of bins.
-# The binned sum runs when the direct one would compute more than
-# _PAIR_MIN_PAIRS + 8 * bins^2 pairs. That gate was set when the direct sum
-# took 2.5 ns per pair, so it now leans towards the direct sum.
+# Cost model, measured on a 2-vCPU x86 host: the direct sum takes 4.5 to 7 ns
+# a pair within reach at 500 to 5000 centers a side (a self pair visits half
+# the pairs), one binned density on the pair grid 0.35 ms up to 1000 centers
+# and 0.66 ms at 2000. They meet at this many direct pairs.
 _PAIR_MIN_PAIRS = 1 << 17
-# A binned sum below this share of N_a * N_b falls back to the direct sum: its
-# absolute error would no longer be 1e-12 relative.
-_PAIR_MIN_SHARE = 1e-4
-# Terms per Toeplitz product: bounds the copied stack at 4 * bins^2 doubles.
-_PAIR_BLOCK = 4
-# _PAIR_SHIFT[n, q] = n - q for q <= n, else the index of an all-zero row.
-_PAIR_SHIFT = np.fromfunction(
-    lambda n, q: np.where(q <= n, n - q, _PAIR_TERMS),
-    (_PAIR_TERMS, _PAIR_TERMS),
-    dtype=int,
-)
+# A binned density is off by about 1e-16 of its peak at a node, so the
+# trapezoid sum of f g, each integrating to at most 1, is off by about
+# 1e-16 (max f + max g): at most 9.9e-17 (max f + max g) over 363 draws of
+# 200 to 3000 centers a side, bandwidths up to 10 times apart. A sum is kept
+# when twice that is at most 1e-13 of it.
+_PAIR_GRID_FLOOR = 2e-3
 
 # Direction screen (``_lattice_cip_screen``), in units of the smallest summed
 # bandwidth s_min over the angles: the clouds are smoothed at s_min / 2,
@@ -672,91 +656,6 @@ def _closest_term(a: np.ndarray, x: float, d_min: float, var_sum: float) -> floa
     return math.exp(hi) * (1.0 + float(exponent - Fraction(hi)))
 
 
-def _gaussian_derivatives(x: np.ndarray, terms: int) -> np.ndarray:
-    """h_n(x) = d^n/dx^n exp(-x^2/2) = (-1)^n He_n(x) exp(-x^2/2) for
-    n < terms, zero beyond one standard deviation past the truncation reach."""
-    h = np.zeros((terms, x.size))
-    h[0] = np.exp(-0.5 * x * x)
-    h[0, np.abs(x) > _CUTOFF_STDS + 1.0] = 0.0
-    h[1] = -x * h[0]
-    for n in range(1, terms - 1):
-        h[n + 1] = -x * h[n] - n * h[n - 1]
-    return h
-
-
-def _pair_derivatives(n_bins: int) -> np.ndarray:
-    """h_n at the bin distances (1 - n_bins .. n_bins - 1) / 4 for n < terms,
-    sliced from a table that covers every span below the cap."""
-    if n_bins > _PAIR_MAX_BINS:
-        distances = np.arange(1 - n_bins, n_bins) / _PAIR_BINS_PER_STD
-        return _gaussian_derivatives(distances, _PAIR_TERMS)
-    first = _PAIR_MAX_BINS - n_bins
-    return _PAIR_DERIVATIVES[:, first : first + 2 * n_bins - 1]
-
-
-_PAIR_DERIVATIVES = _gaussian_derivatives(
-    np.arange(1 - _PAIR_MAX_BINS, _PAIR_MAX_BINS) / _PAIR_BINS_PER_STD, _PAIR_TERMS
-)
-_PAIR_FACTORIALS = np.cumprod([1.0, *range(1, _PAIR_TERMS)])[:, None]
-
-
-def _bin_moments(bins: np.ndarray, offsets: np.ndarray, n_bins: int) -> np.ndarray:
-    """Per-bin sums of offset^m / m! for m < _PAIR_TERMS, shape (terms, bins),
-    from one power table summed over each run of equal (ascending) bins."""
-    powers = np.empty((_PAIR_TERMS, offsets.size))
-    powers[0] = 1.0
-    for m in range(1, _PAIR_TERMS):
-        np.multiply(powers[m - 1], offsets, out=powers[m])
-    starts = np.flatnonzero(np.diff(bins, prepend=-1))
-    moments = np.zeros((_PAIR_TERMS, n_bins))
-    moments[:, bins[starts]] = np.add.reduceat(powers, starts, axis=1) / _PAIR_FACTORIALS
-    return moments
-
-
-def _hermite_pair_sum(a: np.ndarray, b: np.ndarray, var_sum: float) -> float:
-    """The pair sum of ascending ``a`` and ``b`` by binned Taylor expansion.
-
-    In units of s = sqrt(var_sum) every center sits at its bin node k/4 plus
-    an offset of at most 1/8. A pair at bin distance D = (k - l)/4 with
-    offset t = alpha - beta contributes
-
-        exp(-(D + t)^2 / 2) = sum_n h_n(D) t^n / n!
-                            = sum_{m, q} h_{m+q}(D) alpha^m/m! (-beta)^q/q!,
-
-    so per-bin moments of the offsets, contracted with the Gaussian
-    derivatives h_n at every bin distance, give the sum. The cost is
-    terms^2 * bins^2 instead of N_a * N_b.
-    """
-    scale = math.sqrt(var_sum)
-    origin = min(a[0], b[0])
-    ua = (a - origin) / scale
-    bins_a = np.rint(ua * _PAIR_BINS_PER_STD).astype(np.intp)
-    ub = ua if b is a else (b - origin) / scale
-    bins_b = bins_a if b is a else np.rint(ub * _PAIR_BINS_PER_STD).astype(np.intp)
-    n_bins = int(max(bins_a[-1], bins_b[-1])) + 1
-    moments_a = _bin_moments(bins_a, ua - bins_a / _PAIR_BINS_PER_STD, n_bins)
-    if b is a:
-        # Equal offsets: the moments of -beta are those of alpha with the odd
-        # ones negated.
-        moments_b = moments_a * (-1.0) ** np.arange(_PAIR_TERMS)[:, None]
-    else:
-        moments_b = _bin_moments(bins_b, bins_b / _PAIR_BINS_PER_STD - ub, n_bins)
-    h = _pair_derivatives(n_bins)
-    # toeplitz[n, k, j] = h[n, k + j] = h_n((k - l) / 4) with l = n_bins - 1 - j.
-    toeplitz = sliding_window_view(h, n_bins, axis=1)
-    reversed_b = np.ascontiguousarray(moments_b[:, ::-1].T)
-    # shifted[n, q, k] = moments_a[n - q, k], zero for q > n
-    shifted = np.vstack([moments_a, np.zeros(n_bins)])[_PAIR_SHIFT]
-    total = 0.0
-    for n0 in range(0, _PAIR_TERMS, _PAIR_BLOCK):
-        block = slice(n0, n0 + _PAIR_BLOCK)
-        q_end = n0 + _PAIR_BLOCK  # shifted rows with q > n are zero
-        # contracted[n, k, q] = sum_l h_n((k - l) / 4) * moments_b[q, l]
-        contracted = np.ascontiguousarray(toeplitz[block]) @ reversed_b[:, :q_end]
-        total += float(np.einsum("nqk,nkq->", shifted[block, :q_end], contracted))
-    return total
-
-
 def _canonical_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both arrays sorted, the smaller (by size, then bytes) first; a self
     pair (``b is a``) stays one array."""
@@ -768,42 +667,53 @@ def _canonical_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return a, b
 
 
-def _gauss_pair_sum(a: np.ndarray, b: np.ndarray, var_sum: float) -> float:
-    """sum_ij exp(-(a_i - b_j)^2 / (2 var_sum)).
+def _pair_window(f: Kde1d, g: Kde1d) -> tuple[float, float]:
+    """Both mixtures' centers, padded by _WINDOW_STDS of the wider bandwidth."""
+    centers_lo = min(float(f.centers.min()), float(g.centers.min()))
+    centers_hi = max(float(f.centers.max()), float(g.centers.max()))
+    pad = _WINDOW_STDS * max(f.bandwidth, g.bandwidth)
+    return centers_lo - pad, centers_hi + pad
 
-    The arguments are put into a canonical order first, so the evaluation
-    (and hence the rounding) is identical under argument swap and the result
-    is exactly symmetric. The binned expansion runs when the centers span at
-    most 64 standard deviations of the pair kernel and the direct sum would
-    cost more; its result is kept when it is at least 1e-4 per pair.
-    Otherwise the truncated direct sum runs."""
-    a, b = _canonical_pair(a, b)
-    span_stds = (max(a[-1], b[-1]) - min(a[0], b[0])) / math.sqrt(var_sum)
+
+def _grid_pair_integral(f: Kde1d, g: Kde1d, var_sum: float) -> float | None:
+    """The integral of f g as the trapezoid sum of both binned densities on
+    the pair window, exactly symmetric in f and g; None where the direct sum
+    must run. The rule's error is about exp(-2 pi^2 t^2 / h^2) for Gaussian
+    mixtures (Trefethen & Weideman 2014), t the narrowest product kernel's
+    deviation, and binned densities keep the step h below t / 3."""
+    window = _pair_window(f, g)
+    pad = 2.0 * _WINDOW_STDS * max(f.bandwidth, g.bandwidth)
+    span_stds = (window[1] - window[0] - pad) / math.sqrt(var_sum)
     # Pairs the direct sum computes if the centers are spread evenly.
-    direct_pairs = a.size * b.size * min(1.0, 2.0 * _CUTOFF_STDS / max(span_stds, 1.0))
-    n_bins = span_stds * _PAIR_BINS_PER_STD + 1.0
-    if (
-        span_stds < _PAIR_MAX_SPAN_STDS
-        and direct_pairs >= _PAIR_MIN_PAIRS + 8.0 * n_bins * n_bins
-    ):
-        total = _hermite_pair_sum(a, b, var_sum)
-        if total >= _PAIR_MIN_SHARE * a.size * b.size:
-            return total
-    return _direct_pair_sum(a, b, var_sum)
+    direct_pairs = f.n_centers * g.n_centers * min(1.0, 2.0 * _CUTOFF_STDS / max(span_stds, 1.0))
+    if span_stds >= _PAIR_MAX_SPAN_STDS or direct_pairs < _PAIR_MIN_PAIRS:
+        return None
+    grid = np.linspace(window[0], window[1], _PAIR_GRID_POINTS)
+    fv = binned_density_on_grid(f, grid)
+    gv = fv if g is f or fv is None else binned_density_on_grid(g, grid)
+    if gv is None:
+        return None
+    integral = float(np.trapezoid(fv * gv, grid))
+    return integral if integral >= _PAIR_GRID_FLOOR * (fv.max() + gv.max()) else None
 
 
 def cross_integral(f: Kde1d, g: Kde1d) -> float:
     """Integral over the real line of the product of two mixtures.
 
-    Exact closed form: the product of two Gaussian kernels integrates to a
-    Gaussian in the center difference with summed variances, so
+    The product of two Gaussian kernels integrates to a Gaussian in the
+    center difference with summed variances, so the integral is the pair sum
 
         (1/(N_f N_g)) * sum_ij phi(c_i - d_j; sigma_f^2 + sigma_g^2),
 
-    where phi(d; s^2) = exp(-d^2 / (2 s^2)) / sqrt(2 pi s^2).
+    where phi(d; s^2) = exp(-d^2 / (2 s^2)) / sqrt(2 pi s^2). Wide kernels
+    take it from a grid (``_grid_pair_integral``), others from the direct sum
+    in a canonical order; either is exactly symmetric under argument swap.
     """
     var_sum = f.bandwidth * f.bandwidth + g.bandwidth * g.bandwidth
-    total = _gauss_pair_sum(f.centers, g.centers, var_sum)
+    integral = _grid_pair_integral(f, g, var_sum)
+    if integral is not None:
+        return integral
+    total = _direct_pair_sum(*_canonical_pair(f.centers, g.centers), var_sum)
     norm = f.centers.size * g.centers.size * math.sqrt(2.0 * math.pi * var_sum)
     return total / norm
 

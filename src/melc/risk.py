@@ -33,6 +33,7 @@ from .geometry import AffineMap1d, LabeledDataset, UnitDirection, project
 from .kde import (
     _grid_minimum,
     _LogBand,
+    _pair_window,
     binned_density_on_grid,
     eval_on_sorted_grid,
     min_density_bound,
@@ -55,7 +56,6 @@ __all__ = [
 
 DEFAULT_GRID_POINTS = 4096
 DEFAULT_REFINE_TOL = 1e-10
-_WINDOW_STDS = 8.0
 _MIN_GRID_POINTS = 64
 
 # Below this mass the two densities are treated as numerically separated: the
@@ -138,13 +138,6 @@ class BoundCheck:
     separable: bool = False
 
 
-def _pair_window(p: ProjectedPair) -> tuple[float, float]:
-    centers_lo = min(float(p.f_minus.centers.min()), float(p.f_plus.centers.min()))
-    centers_hi = max(float(p.f_minus.centers.max()), float(p.f_plus.centers.max()))
-    sigma_max = max(p.f_minus.bandwidth, p.f_plus.bandwidth)
-    return centers_lo - _WINDOW_STDS * sigma_max, centers_hi + _WINDOW_STDS * sigma_max
-
-
 def _check_grid_points(grid_points: int):
     if grid_points < _MIN_GRID_POINTS:
         raise ValueError(f"grid_points must be at least {_MIN_GRID_POINTS}")
@@ -165,7 +158,7 @@ def overlap_integral(
     """
     _check_grid_points(grid_points)
     if window is None:
-        window = _pair_window(p)
+        window = _pair_window(p.f_minus, p.f_plus)
     grid = np.linspace(window[0], window[1], grid_points)
     densities = (p.f_minus, p.f_plus)
     # The overlap is at most the window width times the largest value of
@@ -264,7 +257,7 @@ def build_multithreshold_model(
     label; no thresholds at all means one class dominates everywhere.
     """
     _check_grid_points(grid_points)
-    window = _pair_window(p)
+    window = _pair_window(p.f_minus, p.f_plus)
     grid = np.linspace(window[0], window[1], grid_points)
     signs = _grid_signs(p, grid)
 

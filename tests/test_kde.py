@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import clusters, grid_density_oracle, trapezoid_product_integral
@@ -225,9 +225,8 @@ def _layout(rng, kind, size, width, loc):
 
 @st.composite
 def pair_sum_inputs(draw):
-    """Two center sets and the summed variance of their kernels. The sets
-    span up to 80 standard deviations of the pair kernel, on both sides of
-    the 64 the binned sum accepts."""
+    """Two densities whose centers span up to 80 standard deviations of the
+    pair kernel, on both sides of the 64 the grid path accepts."""
     n_a = draw(st.integers(1, 3000))
     n_b = draw(st.integers(1, 3000))
     sigma_a = draw(st.floats(0.05, 1.0))
@@ -238,11 +237,10 @@ def pair_sum_inputs(draw):
     kind_a = draw(st.sampled_from(["spread", "duplicated", "all-equal"]))
     kind_b = draw(st.sampled_from(["spread", "duplicated", "all-equal"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    var_sum = sigma_a**2 + sigma_b**2
-    width = span_stds * math.sqrt(var_sum)
+    width = span_stds * math.hypot(sigma_a, sigma_b)
     a = _layout(rng, kind_a, n_a, width, loc)
     b = _layout(rng, kind_b, n_b, width * (1.0 - abs(shift)), loc + shift * width)
-    return a, b, var_sum
+    return Kde1d(a, sigma_a), Kde1d(b, sigma_b)
 
 
 def _exact_pair_sum(a, b, var_sum):
@@ -380,40 +378,61 @@ class TestDirectPairSum:
         assert min(lowest) >= kde._EXP_FLOOR
 
 
+def _direct_integral(f, g):
+    """cross_integral's direct path: the direct pair sum, normalized."""
+    var_sum = f.bandwidth**2 + g.bandwidth**2
+    a, b = kde._canonical_pair(f.centers, g.centers)
+    total = kde._direct_pair_sum(a, b, var_sum)
+    return total / (a.size * b.size * math.sqrt(2.0 * math.pi * var_sum))
+
+
+def _grid_integral(f, g):
+    """The grid path's trapezoid sum and its acceptance floor, apart from the
+    span and cost gates; None where a density is not binned."""
+    grid = np.linspace(*kde._pair_window(f, g), kde._PAIR_GRID_POINTS)
+    fv, gv = (binned_density_on_grid(d, grid) for d in (f, g))
+    if fv is None or gv is None:
+        return None
+    return float(np.trapezoid(fv * gv, grid)), kde._PAIR_GRID_FLOOR * (fv.max() + gv.max())
+
+
 class TestBinnedPairSum:
-    """The binned Hermite pair sum against the direct sum as the oracle."""
+    """Pair sums from the binned grid densities against the direct sum as
+    the oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(pair_sum_inputs())
-    def test_matches_direct_and_dispatches(self, inputs):
-        a, b, var_sum = inputs
-        sa, sb = kde._canonical_pair(a, b)
-        direct = kde._direct_pair_sum(sa, sb, var_sum)
-        binned = kde._hermite_pair_sum(sa, sb, var_sum)
-        # About 1e-16 absolute per pair, so 1e-13 relative on accepted sums.
-        floor = kde._PAIR_MIN_SHARE * a.size * b.size
-        assert abs(binned - direct) <= 1e-13 * max(direct, floor)
+    def test_matches_direct_and_dispatches(self, pair):
+        f, g = pair
+        direct = _direct_integral(f, g)
+        binned = _grid_integral(f, g)
+        # About 1e-16 of the density peaks, so 1e-13 relative on accepted sums.
+        if binned is not None:
+            value, floor = binned
+            assert abs(value - direct) <= 1e-13 * max(direct, floor)
 
-        # The dispatch returns the direct bits, or a binned sum it may accept.
-        got = kde._gauss_pair_sum(a, b, var_sum)
+        # The dispatch returns the direct bits, or a grid sum it may accept.
+        got = cross_integral(f, g)
         if got != direct:
-            span = max(sa[-1], sb[-1]) - min(sa[0], sb[0])
-            assert got == binned
-            assert binned >= floor
-            assert span < kde._PAIR_MAX_SPAN_STDS * math.sqrt(var_sum)
+            assert binned is not None
+            assert got == binned[0]
+            assert got >= binned[1]
+            span = np.ptp(np.concatenate([f.centers, g.centers]))
+            s = math.hypot(f.bandwidth, g.bandwidth)
+            assert span < kde._PAIR_MAX_SPAN_STDS * s
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 3000), st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
     def test_self_pair_matches_direct(self, size, sigma, seed):
-        centers = np.sort(np.random.default_rng(seed).normal(size=size))
-        var_sum = 2.0 * sigma * sigma
-        direct = kde._direct_pair_sum(centers, centers, var_sum)
-        assert kde._hermite_pair_sum(centers, centers, var_sum) == pytest.approx(
-            direct, rel=1e-13
-        )
-        assert kde._hermite_pair_sum(
-            centers, centers.copy(), var_sum
-        ) == pytest.approx(direct, rel=1e-13)
+        centers = np.random.default_rng(seed).normal(size=size)
+        f = Kde1d(centers, sigma)
+        direct = _direct_integral(f, f)  # i < j only
+        assert self_integral(f) == pytest.approx(direct, rel=1e-13)
+        binned = _grid_integral(f, f)
+        if binned is not None:
+            assert binned[0] == pytest.approx(direct, rel=1e-13)
+        copy = Kde1d(centers.copy(), sigma)
+        assert cross_integral(f, copy) == pytest.approx(direct, rel=1e-13)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -434,28 +453,49 @@ class TestBinnedPairSum:
         minus = rng.normal(size=1000)
         plus = rng.normal(loc=1.0, size=1000)
         sigma = silverman_bandwidth(minus)
-        var_sum = 2.0 * sigma * sigma
-        a, b = kde._canonical_pair(minus, plus)
-        binned = kde._hermite_pair_sum(a, b, var_sum)
-        assert kde._gauss_pair_sum(minus, plus, var_sum) == binned
-        assert binned != kde._direct_pair_sum(a, b, var_sum)
+        f, g = Kde1d(minus, sigma), Kde1d(plus, sigma)
+        value, _ = _grid_integral(f, g)
+        assert cross_integral(f, g) == value
+        assert value != _direct_integral(f, g)
 
-    def test_derivative_table_slices_are_bit_equal(self):
-        cap = kde._PAIR_MAX_BINS
-        assert cap >= kde._PAIR_MAX_SPAN_STDS * kde._PAIR_BINS_PER_STD
-        for nb in range(1, cap + 3):
-            distances = np.arange(1 - nb, nb) / kde._PAIR_BINS_PER_STD
-            expected = kde._gaussian_derivatives(distances, kde._PAIR_TERMS)
-            assert np.array_equal(kde._pair_derivatives(nb), expected)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1000, 2500),
+        st.integers(1000, 2500),
+        st.floats(0.05, 0.5),
+        st.floats(-1.0, 1.0),
+        st.floats(-10.0, 10.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_just_above_the_floor(self, n_f, n_g, sigma_f, log_ratio, loc, seed):
+        # Bandwidths up to 10 times apart, and the second cloud shifted to
+        # the largest offset whose sum the grid path still accepts.
+        rng = np.random.default_rng(seed)
+        sigma_g = sigma_f * 10.0**log_ratio
+        s = math.hypot(sigma_f, sigma_g)
+        minus = loc + s * rng.uniform(0.3, 2.0) * rng.normal(size=n_f)
+        plus = loc + s * rng.uniform(0.3, 2.0) * rng.normal(size=n_g)
+        f = Kde1d(minus, sigma_f)
+        var_sum = s * s
 
-    def test_runs_past_the_table(self, rng):
-        # A span of 80 standard deviations needs more bins than the table has.
-        a = np.sort(rng.uniform(0.0, 80.0, size=2000))
-        b = np.sort(rng.uniform(0.0, 80.0, size=1500))
-        var_sum = 1.0
-        assert 80.0 * kde._PAIR_BINS_PER_STD + 1 > kde._PAIR_MAX_BINS
-        direct = kde._direct_pair_sum(a, b, var_sum)
-        assert kde._hermite_pair_sum(a, b, var_sum) == pytest.approx(direct, rel=1e-13)
+        def accepted(offset):
+            return kde._grid_pair_integral(f, Kde1d(plus + offset, sigma_g), var_sum) is not None
+
+        # Up to 15 s the centers span less than 64 s and the direct sum
+        # would compute more pairs than the cost gate asks.
+        lo, hi = 0.0, 15.0 * s
+        assume(accepted(lo))
+        assert not accepted(hi)
+        for _ in range(14):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+        # Both densities are binned just past the boundary, so the floor set it.
+        assume(_grid_integral(f, Kde1d(plus + hi, sigma_g)) is not None)
+        g = Kde1d(plus + lo, sigma_g)
+        direct = _direct_integral(f, g)
+        got = cross_integral(f, g)
+        assert got == kde._grid_pair_integral(f, g, var_sum)
+        assert abs(got - direct) <= 1e-13 * direct
 
     @pytest.mark.parametrize(
         "case", ["narrow-kernel", "separable", "few-pairs", "wide-span"]
@@ -472,13 +512,13 @@ class TestBinnedPairSum:
             minus, plus = minus[:300], plus[:300]
         elif case == "wide-span":
             plus = np.concatenate([plus, [40.0]])
-        var_sum = 2.0 * sigma * sigma
-        a, b = kde._canonical_pair(minus, plus)
-        direct = kde._direct_pair_sum(a, b, var_sum)
+        f, g = Kde1d(minus, sigma), Kde1d(plus, sigma)
+        direct = _direct_integral(f, g)
         if case == "separable":
-            assert kde._hermite_pair_sum(a, b, var_sum) < kde._PAIR_MIN_SHARE * a.size * b.size
-        assert kde._gauss_pair_sum(minus, plus, var_sum) == direct
-        assert kde._gauss_pair_sum(plus, minus, var_sum) == direct
+            value, floor = _grid_integral(f, g)
+            assert value < floor
+        assert cross_integral(f, g) == direct
+        assert cross_integral(g, f) == direct
 
 
 @st.composite

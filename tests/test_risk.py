@@ -421,7 +421,7 @@ def direct_overlap(pair, window=None):
     """overlap_integral's quadrature with both densities from the direct
     evaluator."""
     if window is None:
-        window = risk._pair_window(pair)
+        window = risk._pair_window(pair.f_minus, pair.f_plus)
     grid = np.linspace(window[0], window[1], DEFAULT_GRID_POINTS)
     fm = eval_on_sorted_grid(pair.f_minus, grid)
     fp = eval_on_sorted_grid(pair.f_plus, grid)
@@ -430,7 +430,7 @@ def direct_overlap(pair, window=None):
 
 def uses_binned_densities(pair, window=None):
     if window is None:
-        window = risk._pair_window(pair)
+        window = risk._pair_window(pair.f_minus, pair.f_plus)
     grid = np.linspace(window[0], window[1], DEFAULT_GRID_POINTS)
     return all(
         binned_density_on_grid(f, grid) is not None
@@ -474,7 +474,7 @@ class TestBinnedOverlap:
         if bridge:
             plus = np.concatenate([plus, [minus.max() + 0.8]])
         pair = projected_pair(minus, plus)
-        width = np.subtract(*risk._pair_window(pair)[::-1])
+        width = np.subtract(*risk._pair_window(pair.f_minus, pair.f_plus)[::-1])
         bound = width * min_density_bound(pair.f_minus, pair.f_plus)
         assert (bound >= 1e-3) == bridge
         assert uses_binned_densities(pair)
@@ -501,7 +501,7 @@ def direct_path_pairs(draw):
         minus, plus = project(data, UnitDirection.from_angle(rng.uniform(0.0, math.pi)))
     pair = projected_pair(minus, plus, sigma, sigma)
     if not draw(st.booleans()):
-        return pair, risk._pair_window(pair)
+        return pair, risk._pair_window(pair.f_minus, pair.f_plus)
     pair = rescaled_pair(minus, plus, pair.f_minus.bandwidth, pair.f_plus.bandwidth, 5.0)
     return pair, (0.0, 1.0)
 
@@ -529,7 +529,7 @@ class TestDirectOverlap:
         # Four-line at sigma 0.02: the classes meet on a few narrow bands.
         data = generate(DatasetSpec("four-line", 901, 500))
         pair = projected_pair(*project(data, UnitDirection.from_angle(0.3)), 0.02, 0.02)
-        grid = np.linspace(*risk._pair_window(pair), DEFAULT_GRID_POINTS)
+        grid = np.linspace(*risk._pair_window(pair.f_minus, pair.f_plus), DEFAULT_GRID_POINTS)
         expected = np.minimum(grid_density_oracle(pair.f_minus, grid), grid_density_oracle(pair.f_plus, grid))
         nodes = []
 
@@ -570,7 +570,7 @@ def kde_eval_bisection(pair, lo, hi, positive_left):
 def all_direct_model(pair, grid_points=DEFAULT_GRID_POINTS):
     """Thresholds and leftmost sign from the all-direct scan and bisection on
     the band evaluator."""
-    window = risk._pair_window(pair)
+    window = risk._pair_window(pair.f_minus, pair.f_plus)
     grid = np.linspace(window[0], window[1], grid_points)
     signs = direct_grid_signs(pair, grid)
     nonzero = np.flatnonzero(signs != 0)
@@ -637,7 +637,7 @@ class TestCertifiedThresholdScan:
     @settings(max_examples=80, deadline=None)
     @given(threshold_pairs(), st.sampled_from([DEFAULT_GRID_POINTS, 1024]))
     def test_signs_equal_the_direct_scan(self, pair, grid_points):
-        window = risk._pair_window(pair)
+        window = risk._pair_window(pair.f_minus, pair.f_plus)
         grid = np.linspace(window[0], window[1], grid_points)
         np.testing.assert_array_equal(risk._grid_signs(pair, grid), direct_grid_signs(pair, grid))
 
@@ -652,7 +652,7 @@ class TestCertifiedThresholdScan:
     @pytest.mark.parametrize("sigma", [None, 0.3, 1e-3])
     def test_few_nodes_are_evaluated_directly(self, sigma, rng, monkeypatch):
         pair = projected_pair(rng.normal(size=2000), rng.normal(loc=2.0, size=2000), sigma, sigma)
-        window = risk._pair_window(pair)
+        window = risk._pair_window(pair.f_minus, pair.f_plus)
         grid = np.linspace(window[0], window[1], DEFAULT_GRID_POINTS)
         nodes = []
 
@@ -694,7 +694,7 @@ class TestCertifiedThresholdScan:
             pair = projected_pair(
                 rng.normal(loc=offset, size=3000), rng.normal(loc=offset + 0.5, size=3000), 0.2, 0.2
             )
-            window = risk._pair_window(pair)
+            window = risk._pair_window(pair.f_minus, pair.f_plus)
             grid = np.linspace(window[0], window[1], DEFAULT_GRID_POINTS)
             assert uses_binned_densities(pair)
             np.testing.assert_array_equal(
@@ -726,7 +726,7 @@ class TestWindowedBisection:
 
     @staticmethod
     def brackets(pair):
-        window = risk._pair_window(pair)
+        window = risk._pair_window(pair.f_minus, pair.f_plus)
         grid = np.linspace(window[0], window[1], DEFAULT_GRID_POINTS)
         signs = direct_grid_signs(pair, grid)
         left = np.flatnonzero((signs[:-1] * signs[1:]) < 0)
