@@ -3,15 +3,29 @@
 Covers the cross information potential, the quadratic Renyi entropies built
 from it, the Cauchy-Schwarz divergence, a closed-form potential for radial
 Gaussian classes, and the hinge-loss baseline with exact optimal bias.
+
+A ``ProjectedPair`` keeps its pair grid (``kde._PairGrid``): ``cip`` takes
+both class densities' binned values there, each evaluated at most once per
+pair, and ``melc.risk`` reads the same values for the default overlap
+quadrature and the threshold scan. ``renyi_entropy`` takes one bare density
+and evaluates it on its own window.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import AffineMap1d, UnitDirection, unit_rescale
-from .kde import Kde1d, cross_integral, rescale_kde, self_integral, silverman_bandwidth
+from .kde import (
+    Kde1d,
+    _cross_integral,
+    _PairGrid,
+    rescale_kde,
+    self_integral,
+    silverman_bandwidth,
+)
 
 __all__ = [
     "ProjectedPair",
@@ -34,6 +48,13 @@ class ProjectedPair:
     f_minus: Kde1d
     f_plus: Kde1d
     applied_map: AffineMap1d | None = None
+
+    @cached_property
+    def _pair_grid(self) -> _PairGrid:
+        """The pair grid of the two densities, with each density's binned
+        values there computed at most once: ``cip``, the default overlap
+        quadrature and the threshold scan of ``melc.risk`` share them."""
+        return _PairGrid(self.f_minus, self.f_plus)
 
 
 def projected_pair(minus, plus, sigma_minus=None, sigma_plus=None) -> ProjectedPair:
@@ -63,8 +84,10 @@ def rescaled_pair(minus, plus, sigma_minus, sigma_plus, tail_k) -> ProjectedPair
 
 
 def cip(p: ProjectedPair) -> float:
-    """Cross information potential: the integral of f_minus * f_plus."""
-    return cross_integral(p.f_minus, p.f_plus)
+    """Cross information potential: the integral of f_minus * f_plus,
+    ``cross_integral(p.f_minus, p.f_plus)`` bit for bit, with the binned
+    densities taken from the pair's own grid."""
+    return _cross_integral(p._pair_grid)
 
 
 def renyi_cross_entropy(p: ProjectedPair) -> float:

@@ -7,11 +7,15 @@ rule itself, sign(f_plus - f_minus), is extracted as an explicit threshold
 model so that points can be classified without re-evaluating densities.
 
 The overlap quadrature evaluates the densities with the binned FFT
-evaluator of ``melc.kde`` where it applies. Its error is absolute, about
-1e-16 of the peak density, so an overlap below 1e-3 is recomputed with the
-direct evaluator: -ln(overlap) in the entropy bound then stays within 1e-12.
-Where the center distances alone bound the overlap below 1e-3, the direct
-evaluator runs from the start. The direct minimum of the two densities is
+evaluator of ``melc.kde`` where it applies. On the default window at the
+default node count the grid is the pair's own pair grid, and the binned
+densities are the pair's, evaluated at most once per pair and shared with
+``cip`` and the threshold scan; any other window or node count, as
+``bound_check``'s [0, 1], evaluates its own. The binned error is absolute,
+about 1e-16 of the peak density, so an overlap below 1e-3 is recomputed with
+the direct evaluator: -ln(overlap) in the entropy bound then stays within
+1e-12. Where the center distances alone bound the overlap below 1e-3, the
+direct evaluator runs from the start. The direct minimum of the two densities is
 bit for bit that of both densities on the full grid, but each density is
 evaluated only at the nodes that both densities reach and where it is not
 certainly the larger one.
@@ -31,6 +35,7 @@ import numpy as np
 
 from .geometry import AffineMap1d, LabeledDataset, UnitDirection, project
 from .kde import (
+    _PAIR_GRID_POINTS,
     _grid_minimum,
     _LogBand,
     _pair_window,
@@ -143,6 +148,27 @@ def _check_grid_points(grid_points: int):
         raise ValueError(f"grid_points must be at least {_MIN_GRID_POINTS}")
 
 
+def _grid(p: ProjectedPair, grid_points: int, window=None) -> np.ndarray:
+    """``grid_points`` nodes over ``window``, by default the pair window,
+    where at _PAIR_GRID_POINTS nodes they are the pair's own pair grid."""
+    if window is None:
+        if grid_points == _PAIR_GRID_POINTS:
+            return p._pair_grid.nodes
+        window = _pair_window(p.f_minus, p.f_plus)
+    return np.linspace(window[0], window[1], grid_points)
+
+
+def _binned(p: ProjectedPair, grid: np.ndarray) -> tuple:
+    """Binned (f_minus, f_plus) on ``grid``, None where the direct evaluator
+    must be used. On the pair's own pair grid they are the pair's values,
+    evaluated at most once and shared with ``cip``; on any other grid they
+    are evaluated here."""
+    shared = p._pair_grid
+    if grid is shared.nodes:
+        return shared.f_values, shared.g_values
+    return tuple(binned_density_on_grid(f, grid) for f in (p.f_minus, p.f_plus))
+
+
 def overlap_integral(
     p: ProjectedPair,
     grid_points: int = DEFAULT_GRID_POINTS,
@@ -154,18 +180,18 @@ def overlap_integral(
     bandwidths; pass ``window`` to integrate over a fixed interval instead.
     Densities come from the binned evaluator where it applies; an overlap
     below 1e-3, or one bounded below it by the center distances, comes from
-    direct densities.
+    direct densities. On the default window at the default node count the
+    grid is the pair's own, so the binned densities are the ones ``cip``
+    evaluates.
     """
     _check_grid_points(grid_points)
-    if window is None:
-        window = _pair_window(p.f_minus, p.f_plus)
-    grid = np.linspace(window[0], window[1], grid_points)
+    grid = _grid(p, grid_points, window)
     densities = (p.f_minus, p.f_plus)
     # The overlap is at most the window width times the largest value of
     # min(f_minus, f_plus); below the floor a binned pass would be discarded.
-    width = window[1] - window[0]
+    width = grid[-1] - grid[0]
     if width * min_density_bound(*densities) >= _BINNED_OVERLAP_MIN:
-        binned = [binned_density_on_grid(f, grid) for f in densities]
+        binned = _binned(p, grid)
         if any(v is not None for v in binned):
             fm, fp = (
                 eval_on_sorted_grid(f, grid) if v is None else v
@@ -228,14 +254,14 @@ def _grid_signs(p: ProjectedPair, grid: np.ndarray) -> np.ndarray:
     binned, a node whose binned difference exceeds the margin keeps the
     binned sign; the others take the sign of ln f_plus - ln f_minus."""
     signs = np.zeros(grid.size)
-    binned = [binned_density_on_grid(f, grid) for f in (p.f_plus, p.f_minus)]
+    minus, plus = _binned(p, grid)
     doubt = slice(None)
-    if all(v is not None for v in binned):
+    if minus is not None and plus is not None:
         sigma = min(p.f_plus.bandwidth, p.f_minus.bandwidth)
         scale = max(abs(grid[0]), abs(grid[-1]))
         rounding = _SIGN_OFFSET * np.finfo(float).eps * scale / sigma
         margin = (_SIGN_MARGIN + rounding) / (sigma * math.sqrt(2.0 * math.pi))
-        diff = binned[0] - binned[1]
+        diff = plus - minus
         sure = np.abs(diff) > margin
         signs[sure] = np.sign(diff[sure])
         doubt = np.flatnonzero(~sure)
@@ -257,8 +283,7 @@ def build_multithreshold_model(
     label; no thresholds at all means one class dominates everywhere.
     """
     _check_grid_points(grid_points)
-    window = _pair_window(p.f_minus, p.f_plus)
-    grid = np.linspace(window[0], window[1], grid_points)
+    grid = _grid(p, grid_points)
     signs = _grid_signs(p, grid)
 
     nonzero = np.flatnonzero(signs != 0)

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .geometry import LabeledDataset, UnitDirection, cosine_alignment, project
-from .kde import _cip_lower_bound, _lattice_cip_screen
+from .kde import _cip_lower_bound, _closest_pair_bound, _lattice_cip_screen
 from .objectives import (
     best_bias_hinge,
     cip,
@@ -192,7 +192,10 @@ def melc_direction(
     it applies and every closed-form value lands within its estimate's
     bound; otherwise from the binned Jensen bound (``kde._cip_lower_bound``)
     of each angle's projections, computed in angle order, so a degenerate
-    projection raises where the scan would.
+    projection raises where the scan would. A bound of at most 0, as where
+    a potential is below the screen's absolute error or no bins of the two
+    classes lie within reach, is raised to the closest cross pair's term
+    (``kde._closest_pair_bound``).
     """
     if data.dim != 2:
         raise ValueError("direction scan requires a 2-D dataset")
@@ -212,17 +215,29 @@ def melc_direction(
     def potential(k):
         return cip(pair(k))
 
+    def raised(bound, k, p=None):
+        # Where a bound says nothing, the closest cross pair's term of angle
+        # k's pair p still bounds the potential: every pair term is
+        # non-negative.
+        if bound > 0.0:
+            return bound
+        p = pair(k) if p is None else p
+        return _closest_pair_bound(p.f_minus, p.f_plus)
+
     screen = _lattice_cip_screen(*data.class_points(), directions, bandwidth_override)
     if screen is not None:
         estimates, bounds = screen
         best = _best_first(
-            estimates - bounds,
+            [raised(bound, k) for k, bound in enumerate(estimates - bounds)],
             potential,
             lambda k, value: abs(value - estimates[k]) <= bounds[k],
         )
         if best is not None:
             return entry(best)
-    lower = [_cip_lower_bound(p.f_minus, p.f_plus) for p in map(pair, range(n))]
+    lower = [
+        raised(_cip_lower_bound(p.f_minus, p.f_plus), k, p)
+        for k, p in enumerate(map(pair, range(n)))
+    ]
     return entry(_best_first(lower, potential))
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from melc import kde, risk
 from melc.cli import main
 from melc.datasets import load_csv
 from melc.sweep import bound_sweep
@@ -300,6 +301,41 @@ class TestNarrowBandwidthRegression:
                     "--sigma", sigma]) == 0
         capsys.readouterr()
         name = f"four_line_7_{command.replace('-', '_')}_sigma{sigma}.csv"
+        assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def two_gauss_7_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("two-gauss") / "two-gauss-7.csv"
+    assert run(["datagen", "--name", "two-gauss", "--seed", 7, "--n", 500, "--out", path]) == 0
+    return path
+
+
+class TestSilvermanRegression:
+    """Seeded sweep and bound-check runs at Silverman bandwidths, where every
+    pair sum and overlap takes the binned path, against CSVs recorded before
+    ``cip`` and the overlap shared the pair's densities: two-gauss seed 7,
+    500 points a class, 90 angles."""
+
+    @pytest.mark.parametrize("command", ["sweep", "bound-check"])
+    def test_matches_recorded_csv(self, tmp_path, two_gauss_7_csv, command, capsys, monkeypatch):
+        direct = []
+        binned = []
+
+        def recording(module, name, calls):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args: calls.append(name) or fn(*args))
+
+        recording(kde, "_direct_pair_sum", direct)
+        recording(risk, "_grid_minimum", direct)
+        recording(risk, "eval_on_sorted_grid", direct)
+        recording(kde, "_binned_density", binned)
+        out = tmp_path / "out.csv"
+        assert run([command, "--data", two_gauss_7_csv, "--out", out, "--angles", 90]) == 0
+        capsys.readouterr()
+        assert direct == []
+        assert len(binned) >= 4 * 90
+        name = f"two_gauss_7_{command.replace('-', '_')}_silverman.csv"
         assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
 
 

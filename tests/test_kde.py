@@ -561,6 +561,21 @@ class TestCipLowerBound:
         assert 0.0 <= bound <= cross_integral(f, g) * (1.0 + sweep_module._BOUND_SLACK)
         assert kde._cip_lower_bound(g, f) == pytest.approx(bound, rel=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(lower_bound_inputs())
+    def test_closest_pair_term_at_most_the_potential(self, pair):
+        # The scan's fallback where a bound is 0, separable pairs included.
+        f, g = pair
+        bound = kde._closest_pair_bound(f, g)
+        assert 0.0 <= bound <= cross_integral(f, g) * (1.0 + sweep_module._BOUND_SLACK)
+        assert kde._closest_pair_bound(g, f) == bound
+
+    def test_closest_pair_term_where_the_bins_are_too_far(self):
+        f = Kde1d(np.linspace(0.0, 1.0, 50), 1e-3)
+        g = Kde1d(np.linspace(1.02, 2.0, 50), 1e-3)  # as in the test below
+        assert kde._cip_lower_bound(f, g) == 0.0
+        assert 0.0 < kde._closest_pair_bound(f, g) <= cross_integral(f, g)
+
     def test_zero_for_separable_classes(self):
         f = Kde1d(np.linspace(0.0, 1.0, 50), 1e-3)
         g = Kde1d(np.linspace(1.02, 2.0, 50), 1e-3)  # 14 pair kernel stds up

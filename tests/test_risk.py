@@ -13,12 +13,13 @@ from melc.kde import (
     DegenerateBandwidthError,
     Kde1d,
     binned_density_on_grid,
+    cross_integral,
     eval_on_sorted_grid,
     kde_eval,
     min_density_bound,
     silverman_bandwidth,
 )
-from melc.objectives import ProjectedPair, projected_pair, rescaled_pair
+from melc.objectives import ProjectedPair, cip, projected_pair, rescaled_pair
 from melc.risk import (
     DEFAULT_GRID_POINTS,
     BoundCheck,
@@ -816,3 +817,75 @@ class TestWindowedBisection:
         monkeypatch.setattr(kde, "kde_eval", lambda f, x: pytest.fail("kde_eval called"))
         risk._bisect_roots(pair, lo, hi, positive)
         assert smallest and min(smallest) >= -700.0
+
+
+class TestSharedPairGrid:
+    """A pair evaluates each density on its pair grid at most once: ``cip``,
+    the default overlap quadrature and the threshold scan read the same
+    binned values, and every result keeps a fresh pair's bits."""
+
+    @staticmethod
+    def recording(monkeypatch):
+        """The (density, node count) of every binned density computed."""
+        computed = []
+        binned = kde._binned_density
+
+        def recording(f, grid):
+            computed.append((f, grid.size))
+            return binned(f, grid)
+
+        monkeypatch.setattr(kde, "_binned_density", recording)
+        return computed
+
+    def test_any_order_gives_a_fresh_pairs_bits(self, rng, monkeypatch):
+        minus, plus = rng.normal(size=1000), rng.normal(loc=1.0, size=800)
+
+        def fresh():
+            return projected_pair(minus, plus)
+
+        potential, overlap = cip(fresh()), overlap_integral(fresh())
+        model = build_multithreshold_model(fresh(), X_AXIS)
+        assert potential == cross_integral(fresh().f_minus, fresh().f_plus)
+        computed = self.recording(monkeypatch)
+
+        forward = fresh()
+        assert cip(forward) == potential
+        assert len(computed) == 2  # both densities, on the pair grid
+        assert overlap_integral(forward) == overlap
+        forward_model = build_multithreshold_model(forward, X_AXIS)
+        assert len(computed) == 2
+
+        reverse = fresh()
+        reverse_model = build_multithreshold_model(reverse, X_AXIS)
+        assert overlap_integral(reverse) == overlap
+        assert cip(reverse) == potential
+        assert len(computed) == 4
+        assert [size for _, size in computed] == [DEFAULT_GRID_POINTS] * 4
+        for got in (forward_model, reverse_model):
+            assert got.leftmost_sign == model.leftmost_sign
+            np.testing.assert_array_equal(got.thresholds, model.thresholds)
+
+    def test_other_grids_share_nothing(self, rng, monkeypatch):
+        minus, plus = rng.normal(size=1000), rng.normal(loc=1.0, size=800)
+        window = (-6.0, 7.0)
+
+        def fresh():
+            return projected_pair(minus, plus)
+
+        def rescaled():
+            return rescaled_pair(minus, plus, None, None, 5.0)
+
+        coarse = overlap_integral(fresh(), 2048)
+        fixed = overlap_integral(fresh(), window=window)
+        check = bound_check(rescaled())
+        computed = self.recording(monkeypatch)
+        pair = fresh()
+        cip(pair)
+        assert len(computed) == 2
+        assert overlap_integral(pair, 2048) == coarse
+        assert [size for _, size in computed[2:]] == [2048, 2048]
+        assert overlap_integral(pair, window=window) == fixed
+        assert len(computed) == 6
+        # The overlap on [0, 1] and the potential on the pair grid.
+        assert bound_check(rescaled()) == check
+        assert len(computed) == 10

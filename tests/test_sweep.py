@@ -139,6 +139,22 @@ class TestSweep:
         monkeypatch.setenv("MELC_THREADS", "not-a-number")
         assert values(sweep(data, 8)) == first
 
+    def test_four_densities_per_angle(self, rng, monkeypatch):
+        # cip and the overlap share the pair's two densities on its pair
+        # grid; each self-integral evaluates one on its own window.
+        data = gaussian_clouds(rng, (0, 0), (2, 2), 1.0, 1000)
+        computed = []
+        binned = kde._binned_density
+
+        def recording(f, grid):
+            computed.append((f, grid[0], grid[-1], grid.size))
+            return binned(f, grid)
+
+        monkeypatch.setattr(kde, "_binned_density", recording)
+        sweep(data, 12)
+        assert len(computed) == 4 * 12
+        assert len({(id(f), *grid) for f, *grid in computed}) == len(computed)
+
     def test_requires_2d(self, rng):
         points = rng.normal(size=(10, 3))
         labels = np.array([-1, 1] * 5)
@@ -315,6 +331,20 @@ class TestScreenedDirection:
         message = "^degenerate bandwidth: zero standard deviation$"
         with pytest.raises(DegenerateBandwidthError, match=message):
             melc_direction(data, 36)
+
+    def test_zero_bounds_rise_to_the_closest_pair(self, monkeypatch):
+        # At sigma 0.02 most four-line potentials are below the screen's
+        # absolute error, so its bounds are 0 there; the closest cross
+        # pair's term prunes those angles (238 of 360 evaluated without it).
+        data = generate(DatasetSpec("four-line", 7, 300))
+        values = scan_values(data, 360, 0.02)
+        calls = []
+        monkeypatch.setattr(sweep_module, "cip", lambda pair: calls.append(pair) or cip(pair))
+        angle, direction = melc_direction(data, 360, bandwidth_override=0.02)
+        assert 1 <= len(calls) <= 10
+        best = int(np.argmin(values))
+        assert angle == angle_grid(360)[best][0]
+        np.testing.assert_array_equal(direction.components, angle_grid(360)[best][1].components)
 
     @pytest.mark.parametrize("value", [0.0, 0.3])
     def test_constant_class_raises_at_any_offset(self, rng, value):
