@@ -9,19 +9,16 @@ compare the optima.
 """
 
 from .geometry import (
-    AffineMap1d,
     LabeledDataset,
     UnitDirection,
     cosine_alignment,
     project,
-    unit_rescale,
 )
 from .kde import (
     DegenerateBandwidthError,
     Kde1d,
     cross_integral,
     kde_eval,
-    rescale_kde,
     self_integral,
     silverman_bandwidth,
 )

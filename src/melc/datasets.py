@@ -16,9 +16,6 @@ from .geometry import LabeledDataset
 
 __all__ = [
     "DatasetSpec",
-    "DATASET_NAMES",
-    "GENERATOR_NAME",
-    "GENERATOR_VERSION",
     "generate",
     "load_libsvm",
     "save_libsvm",

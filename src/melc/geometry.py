@@ -1,4 +1,4 @@
-"""Labeled point sets, unit directions, 1D projections, and affine rescaling.
+"""Labeled point sets, unit directions, and 1D projections.
 
 Everything here is a pure function on immutable values; the heavy lifting
 (densities, risks, sweeps) lives in the sibling modules.
@@ -12,9 +12,7 @@ import numpy as np
 __all__ = [
     "LabeledDataset",
     "UnitDirection",
-    "AffineMap1d",
     "project",
-    "unit_rescale",
     "cosine_alignment",
 ]
 
@@ -118,30 +116,6 @@ class UnitDirection:
         return self.components.shape[0]
 
 
-@dataclass(frozen=True)
-class AffineMap1d:
-    """Orientation-preserving affine map x -> scale * x + offset with scale > 0."""
-
-    scale: float
-    offset: float
-
-    def __post_init__(self):
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise ValueError("scale must be a positive finite number")
-        if not math.isfinite(self.offset):
-            raise ValueError("offset must be finite")
-
-    @classmethod
-    def identity(cls) -> "AffineMap1d":
-        return cls(scale=1.0, offset=0.0)
-
-    def apply(self, x):
-        return self.scale * np.asarray(x, dtype=np.float64) + self.offset
-
-    def invert(self, y):
-        return (np.asarray(y, dtype=np.float64) - self.offset) / self.scale
-
-
 def project(data: LabeledDataset, v: UnitDirection) -> tuple[np.ndarray, np.ndarray]:
     """Project every point onto a direction, split by class.
 
@@ -162,37 +136,6 @@ def project(data: LabeledDataset, v: UnitDirection) -> tuple[np.ndarray, np.ndar
     scalars = data.points @ v.components
     neg = data.labels == -1
     return scalars[neg], scalars[~neg]
-
-
-def unit_rescale(
-    minus: np.ndarray,
-    plus: np.ndarray,
-    sigma_minus: float,
-    sigma_plus: float,
-    tail_k: float,
-) -> AffineMap1d:
-    """Affine map sending a sigma-buffered interval around the centers onto [0, 1].
-
-    The interval [min(center) - tail_k * max(sigma), max(center) + tail_k * max(sigma)]
-    is sent onto the unit interval. Bandwidths of any density built on the
-    rescaled axis must be multiplied by the map's scale by the caller.
-    """
-    minus = np.asarray(minus, dtype=np.float64)
-    plus = np.asarray(plus, dtype=np.float64)
-    if minus.size + plus.size < 1:
-        raise ValueError("at least one scalar is required")
-    if sigma_minus < 0 or sigma_plus < 0:
-        raise ValueError("bandwidths must be nonnegative")
-    if not tail_k > 0:
-        raise ValueError("tail_k must be positive")
-    centers = np.concatenate([minus, plus])
-    sigma_max = max(sigma_minus, sigma_plus)
-    lo = float(centers.min()) - tail_k * sigma_max
-    hi = float(centers.max()) + tail_k * sigma_max
-    if hi <= lo:
-        raise ValueError("degenerate support: all centers equal and zero bandwidth")
-    scale = 1.0 / (hi - lo)
-    return AffineMap1d(scale=scale, offset=-lo * scale)
 
 
 def cosine_alignment(v1: UnitDirection, v2: UnitDirection) -> float:

@@ -64,8 +64,6 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .geometry import AffineMap1d
-
 __all__ = [
     "Kde1d",
     "DegenerateBandwidthError",
@@ -73,10 +71,13 @@ __all__ = [
     "kde_eval",
     "cross_integral",
     "self_integral",
-    "rescale_kde",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# Every evaluator divides by the squared bandwidth; below this it is
+# subnormal or 0, and its reciprocal overflows.
+_MIN_SQUARED_BANDWIDTH = np.finfo(np.float64).tiny
 
 # exp(-50) ~ 2e-22 per kernel; beyond this distance (relative to the closest
 # pair) a term cannot move the double sum by more than 1e-15 relative.
@@ -185,7 +186,7 @@ class DegenerateBandwidthError(ValueError):
 @dataclass(frozen=True)
 class Kde1d:
     """Gaussian mixture density: uniform-weight kernels at ``centers`` with a
-    single positive ``bandwidth``."""
+    single positive ``bandwidth``, whose square must be a normal float."""
 
     centers: np.ndarray
     bandwidth: float
@@ -198,6 +199,11 @@ class Kde1d:
             raise ValueError("centers must be finite")
         if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
             raise ValueError("bandwidth must be a positive finite number")
+        if self.bandwidth * self.bandwidth < _MIN_SQUARED_BANDWIDTH:
+            raise ValueError(
+                f"bandwidth {self.bandwidth!r} is too small: its square is below "
+                "the smallest normal float"
+            )
         object.__setattr__(self, "centers", centers)
 
     @property
@@ -374,6 +380,8 @@ def _grid_terms(ratio: float) -> int | None:
     """Taylor terms for a grid of step ``ratio`` bandwidths: the smallest q
     whose term, max_u exp(-u^2/2) u^q / q! * (ratio/2)^q, is below
     _GRID_REMAINDER; None when more than _GRID_MAX_TERMS would be needed."""
+    if not ratio < 2.0:  # (ratio/2)^q >= 1 and every peak is above 1e-5
+        return None
     for q in range(1, _GRID_MAX_TERMS + 1):
         peak = (q / math.e) ** (q / 2) / math.factorial(q)
         if peak * (ratio / 2) ** q <= _GRID_REMAINDER:
@@ -991,13 +999,3 @@ def _lattice_cip_screen(minus, plus, directions, bandwidth=None):
     floor = cell * (span + sub_step) * (math.sqrt(2.0) + sub_step * ridge_peak) / sub_step**2
     bounds = _SCREEN_MARGIN * (relative * estimates + scale * floor)
     return estimates, bounds
-
-
-def rescale_kde(f: Kde1d, mapping: AffineMap1d) -> Kde1d:
-    """Push the mixture through an affine map: centers are mapped, the
-    bandwidth is multiplied by the scale, and the returned density g
-    satisfies g(map(x)) = f(x) / map.scale pointwise."""
-    return Kde1d(
-        centers=mapping.apply(f.centers),
-        bandwidth=f.bandwidth * mapping.scale,
-    )

@@ -17,12 +17,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import AffineMap1d, UnitDirection, unit_rescale
+from .geometry import UnitDirection
 from .kde import (
     Kde1d,
     _cross_integral,
     _PairGrid,
-    rescale_kde,
     self_integral,
     silverman_bandwidth,
 )
@@ -43,11 +42,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProjectedPair:
-    """The two class densities on a common (possibly rescaled) 1-D axis."""
+    """The two class densities on a common 1-D axis."""
 
     f_minus: Kde1d
     f_plus: Kde1d
-    applied_map: AffineMap1d | None = None
 
     @cached_property
     def _pair_grid(self) -> _PairGrid:
@@ -75,12 +73,23 @@ def projected_pair(minus, plus, sigma_minus=None, sigma_plus=None) -> ProjectedP
 def rescaled_pair(minus, plus, sigma_minus, sigma_plus, tail_k) -> ProjectedPair:
     """Build the pair on the axis rescaled so a tail_k-sigma buffered interval
     around all centers lands on [0, 1]; bandwidths are scaled along, and a
-    bandwidth left None is the Silverman rule as in ``projected_pair``."""
+    bandwidth left None is the Silverman rule as in ``projected_pair``.
+
+    The interval is [lo, hi], the centers padded by tail_k times the larger
+    bandwidth, and x maps to x / (hi - lo) - lo / (hi - lo)."""
     pair = projected_pair(minus, plus, sigma_minus, sigma_plus)
-    f_minus, f_plus = pair.f_minus, pair.f_plus
-    mapping = unit_rescale(minus, plus, f_minus.bandwidth, f_plus.bandwidth, tail_k)
-    f_minus, f_plus = rescale_kde(f_minus, mapping), rescale_kde(f_plus, mapping)
-    return ProjectedPair(f_minus=f_minus, f_plus=f_plus, applied_map=mapping)
+    if not tail_k > 0:
+        raise ValueError("tail_k must be positive")
+    densities = (pair.f_minus, pair.f_plus)
+    centers = np.concatenate([f.centers for f in densities])
+    pad = tail_k * max(f.bandwidth for f in densities)
+    lo = float(centers.min()) - pad
+    hi = float(centers.max()) + pad
+    scale = 1.0 / (hi - lo)
+    offset = -lo * scale
+    return ProjectedPair(
+        *(Kde1d(scale * f.centers + offset, f.bandwidth * scale) for f in densities)
+    )
 
 
 def cip(p: ProjectedPair) -> float:

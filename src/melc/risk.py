@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AffineMap1d, LabeledDataset, UnitDirection, project
+from .geometry import LabeledDataset, UnitDirection, project
 from .kde import (
     _PAIR_GRID_POINTS,
     _grid_minimum,
@@ -49,7 +49,6 @@ __all__ = [
     "MultithresholdModel",
     "RiskEstimate",
     "BoundCheck",
-    "DEFAULT_GRID_POINTS",
     "overlap_integral",
     "eaa_bayes_risk_for_direction",
     "build_multithreshold_model",
@@ -92,16 +91,14 @@ _TIE_ULPS = 64
 class MultithresholdModel:
     """Sign-alternating interval classifier on a 1-D projection.
 
-    ``thresholds`` is strictly increasing (possibly empty) on the axis the
-    model was built on; ``applied_map`` records the affine rescale applied to
-    projections before thresholding, if any. The predicted label left of all
-    thresholds is ``leftmost_sign`` and flips across each threshold.
+    ``thresholds`` is strictly increasing (possibly empty) on the projection
+    axis of ``direction``. The predicted label left of all thresholds is
+    ``leftmost_sign`` and flips across each threshold.
     """
 
     direction: UnitDirection
     thresholds: np.ndarray
     leftmost_sign: int
-    applied_map: AffineMap1d | None = None
 
     def __post_init__(self):
         thresholds = np.atleast_1d(np.asarray(self.thresholds, dtype=np.float64))
@@ -289,12 +286,7 @@ def build_multithreshold_model(
     nonzero = np.flatnonzero(signs != 0)
     if nonzero.size == 0:
         # Identical mixtures: the difference vanishes everywhere on the grid.
-        return MultithresholdModel(
-            direction=v,
-            thresholds=np.empty(0),
-            leftmost_sign=1,
-            applied_map=p.applied_map,
-        )
+        return MultithresholdModel(direction=v, thresholds=np.empty(0), leftmost_sign=1)
     leftmost_sign = int(signs[nonzero[0]])
 
     # Brackets between consecutive nonzero grid points of opposite sign; flat
@@ -314,19 +306,16 @@ def build_multithreshold_model(
     roots.extend((0.5 * (grid[left[~adjacent]] + grid[right[~adjacent]])).tolist())
     thresholds = np.sort(np.asarray(roots))
     return MultithresholdModel(
-        direction=v,
-        thresholds=thresholds,
-        leftmost_sign=leftmost_sign,
-        applied_map=p.applied_map,
+        direction=v, thresholds=thresholds, leftmost_sign=leftmost_sign
     )
 
 
 def classify(model: MultithresholdModel, x):
     """Label a point (or an (n, d) batch) by the threshold model.
 
-    The point is projected on the model's direction, passed through the
-    recorded affine map, and assigned ``leftmost_sign`` when an even number of
-    thresholds lies strictly below the result, the opposite sign otherwise.
+    The point is projected on the model's direction and assigned
+    ``leftmost_sign`` when an even number of thresholds lies strictly below
+    the projection, the opposite sign otherwise.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -334,8 +323,6 @@ def classify(model: MultithresholdModel, x):
     if points.shape[1] != model.direction.dim:
         raise ValueError("dimension mismatch between point and model direction")
     t = points @ model.direction.components
-    if model.applied_map is not None:
-        t = model.applied_map.apply(t)
     below = np.searchsorted(model.thresholds, t, side="left")
     labels = np.where(below % 2 == 0, model.leftmost_sign, -model.leftmost_sign)
     if single:

@@ -35,7 +35,6 @@ from .risk import (
 __all__ = [
     "SweepRecord",
     "ComparisonRow",
-    "SWEEP_FIELDS",
     "angle_grid",
     "sweep",
     "melc_direction",

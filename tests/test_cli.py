@@ -364,3 +364,52 @@ class TestErrorPaths:
         assert err.startswith("melc: error:") and message in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+class TestBandwidthFloor:
+    """A bandwidth whose square is below the smallest normal float is refused
+    in one line that names it; one just above the floor runs clean."""
+
+    @staticmethod
+    def inputs(command, data):
+        if command == "classify":
+            return ["--train", data, "--test", data]
+        return ["--data", data]
+
+    @pytest.mark.parametrize("sigma", ["1e-160", "1e-170"])
+    @pytest.mark.parametrize("command", ["sweep", "table", "bound-check", "classify"])
+    def test_below_the_floor_is_a_one_line_error(
+        self, tmp_path, two_gauss_csv, capsys, command, sigma
+    ):
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        argv = [command, *self.inputs(command, two_gauss_csv), "--out", out]
+        assert run([*argv, "--angles", "4", "--sigma", sigma]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"melc: error: bandwidth {sigma} is too small")
+        assert err.count("\n") == 1
+
+    def test_oversized_tail_k_is_a_one_line_error(self, tmp_path, two_gauss_csv, capsys):
+        # The rescaled bandwidth is about 5e-301.
+        capsys.readouterr()
+        argv = ["bound-check", "--data", two_gauss_csv, "--out", tmp_path / "b.csv"]
+        assert run([*argv, "--angles", "4", "--tail-k", "1e300"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("melc: error: bandwidth ") and "too small" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command, sigma",
+        # bound-check rescales the bandwidth by 0.12 to 0.24 on this input,
+        # so its smallest, 1.51e-154, lands just above the floor.
+        [("sweep", "1.5e-154"), ("table", "1.5e-154"), ("classify", "1.5e-154"),
+         ("bound-check", "1.3e-153")],
+    )
+    def test_just_above_the_floor_runs_clean(
+        self, tmp_path, two_gauss_csv, capsys, command, sigma
+    ):
+        capsys.readouterr()
+        argv = [command, *self.inputs(command, two_gauss_csv), "--out", tmp_path / "out.csv"]
+        assert run([*argv, "--angles", "4", "--sigma", sigma]) == 0
+        assert capsys.readouterr().err == ""

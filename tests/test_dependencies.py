@@ -1,12 +1,16 @@
 """The package imports nothing beyond the standard library and its one
 declared dependency, numpy: packages that happen to be installed, such as
-scipy, are not dependencies of melc."""
+scipy, are not dependencies of melc. Every name a module lists in
+``__all__`` is exported by the package."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
 import pytest
+
+import melc
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "melc"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "melc"}
@@ -30,3 +34,10 @@ def test_package_has_modules():
 def test_imports_only_stdlib_and_numpy(path):
     outside = [(line, name) for line, name in _imported_modules(path) if name not in ALLOWED]
     assert outside == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("[!_]*.py")), ids=lambda p: p.name)
+def test_module_all_is_exported_by_the_package(path):
+    module = importlib.import_module(f"melc.{path.stem}")
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(melc, name)]
+    assert missing == []

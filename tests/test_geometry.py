@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from melc.geometry import (
-    AffineMap1d,
-    LabeledDataset,
-    UnitDirection,
-    cosine_alignment,
-    project,
-    unit_rescale,
-)
+from melc.geometry import LabeledDataset, UnitDirection, cosine_alignment, project
 
 
 def make_dataset(points, labels):
@@ -93,48 +86,6 @@ class TestProject:
             project(data, UnitDirection.from_angle(0.0))
 
 
-class TestUnitRescale:
-    def test_worked_example(self):
-        mapping = unit_rescale(np.array([-1.0]), np.array([3.0]), 0.5, 0.25, 3.0)
-        # Buffered interval is [-2.5, 4.5], so x maps to (x + 2.5) / 7.
-        assert mapping.scale == pytest.approx(1 / 7)
-        assert mapping.offset == pytest.approx(2.5 / 7)
-        assert mapping.apply(-1.0) == pytest.approx(3 / 14)
-        assert mapping.apply(3.0) == pytest.approx(11 / 14)
-
-    def test_identity_when_centers_span_unit_interval(self):
-        mapping = unit_rescale(np.array([0.0]), np.array([1.0]), 0.0, 0.0, 3.0)
-        assert mapping.scale == pytest.approx(1.0)
-        assert mapping.offset == pytest.approx(0.0)
-
-    def test_rescaled_centers_stay_inside_unit_interval(self, rng):
-        for _ in range(50):
-            minus = rng.normal(scale=5.0, size=rng.integers(1, 6))
-            plus = rng.normal(scale=5.0, size=rng.integers(1, 6))
-            sm, sp = rng.uniform(0.0, 2.0, size=2)
-            tail_k = rng.uniform(0.5, 6.0)
-            mapping = unit_rescale(minus, plus, sm, sp, tail_k)
-            centers = mapping.apply(np.concatenate([minus, plus]))
-            assert centers.min() >= 0.0 - 1e-12
-            assert centers.max() <= 1.0 + 1e-12
-
-    def test_inverse_recovers_scalars(self, rng):
-        minus = rng.normal(size=7)
-        plus = rng.normal(size=4) + 3.0
-        mapping = unit_rescale(minus, plus, 0.3, 0.7, 3.0)
-        rm, rp = mapping.apply(minus), mapping.apply(plus)
-        np.testing.assert_allclose(mapping.invert(rm), minus, atol=1e-10)
-        np.testing.assert_allclose(mapping.invert(rp), plus, atol=1e-10)
-
-    def test_degenerate_support(self):
-        with pytest.raises(ValueError, match="degenerate support"):
-            unit_rescale(np.array([2.0, 2.0]), np.array([2.0]), 0.0, 0.0, 3.0)
-
-    def test_requires_scalars(self):
-        with pytest.raises(ValueError):
-            unit_rescale(np.array([]), np.array([]), 1.0, 1.0, 3.0)
-
-
 class TestCosineAlignment:
     def test_equal_directions(self):
         v = UnitDirection.from_angle(0.3)
@@ -166,15 +117,3 @@ class TestCosineAlignment:
         with pytest.raises(ValueError, match="dimension mismatch"):
             cosine_alignment(a, b)
 
-
-class TestAffineMap1d:
-    def test_rejects_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            AffineMap1d(scale=0.0, offset=1.0)
-        with pytest.raises(ValueError):
-            AffineMap1d(scale=-2.0, offset=1.0)
-
-    def test_apply_invert_roundtrip(self, rng):
-        mapping = AffineMap1d(scale=0.25, offset=-1.5)
-        x = rng.normal(size=10)
-        np.testing.assert_allclose(mapping.invert(mapping.apply(x)), x, atol=1e-12)

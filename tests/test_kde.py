@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import clusters, grid_density_oracle, trapezoid_product_integral
 from melc import kde
-from melc.geometry import AffineMap1d
 from melc.kde import (
     DegenerateBandwidthError,
     Kde1d,
@@ -17,7 +16,6 @@ from melc.kde import (
     eval_on_sorted_grid,
     kde_eval,
     min_density_bound,
-    rescale_kde,
     self_integral,
     silverman_bandwidth,
 )
@@ -171,39 +169,6 @@ class TestSelfIntegral:
             assert self_integral(f) == pytest.approx(oracle, rel=1e-6)
 
 
-class TestRescaleKde:
-    def test_identity_map(self, rng):
-        f = random_kde(rng)
-        g = rescale_kde(f, AffineMap1d.identity())
-        np.testing.assert_array_equal(g.centers, f.centers)
-        assert g.bandwidth == f.bandwidth
-
-    def test_worked_example(self):
-        mapping = AffineMap1d(scale=1 / 7, offset=2.5 / 7)
-        f = Kde1d([-1.0], 0.5)
-        g = rescale_kde(f, mapping)
-        assert g.centers[0] == pytest.approx(3 / 14)
-        assert g.bandwidth == pytest.approx(0.5 / 7)
-
-    def test_change_of_variables_pointwise(self, rng):
-        f = random_kde(rng)
-        mapping = AffineMap1d(scale=0.37, offset=1.2)
-        g = rescale_kde(f, mapping)
-        xs = rng.normal(size=20)
-        np.testing.assert_allclose(
-            kde_eval(g, mapping.apply(xs)),
-            kde_eval(f, xs) / mapping.scale,
-            rtol=1e-12,
-        )
-
-    def test_cross_integral_change_of_variables(self, rng):
-        f = random_kde(rng)
-        g = random_kde(rng)
-        mapping = AffineMap1d(scale=0.25, offset=-0.8)
-        rescaled = cross_integral(rescale_kde(f, mapping), rescale_kde(g, mapping))
-        assert rescaled == pytest.approx(cross_integral(f, g) / mapping.scale, rel=1e-12)
-
-
 class TestKde1dValidation:
     def test_rejects_empty_centers(self):
         with pytest.raises(ValueError):
@@ -212,6 +177,14 @@ class TestKde1dValidation:
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(ValueError):
             Kde1d([0.0], 0.0)
+
+    @pytest.mark.parametrize("bandwidth", [1e-160, 1e-170, 1.4e-154])
+    def test_rejects_bandwidth_whose_square_underflows(self, bandwidth):
+        with pytest.raises(ValueError, match=f"bandwidth {bandwidth!r} is too small"):
+            Kde1d([0.0], bandwidth)
+
+    def test_accepts_bandwidth_just_above_the_floor(self):
+        assert Kde1d([0.0], 1.5e-154).bandwidth == 1.5e-154
 
 
 def _layout(rng, kind, size, width, loc):
@@ -759,6 +732,11 @@ class TestBinnedGridDensity:
         terms = [kde._grid_terms(ratio) for ratio in (0.005, 0.02, 0.1, 0.19)]
         assert terms == sorted(terms)
         assert kde._grid_terms(0.5) is None
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ratio", [2.0, 1e200, math.inf, np.float64(1e300)])
+    def test_no_terms_for_coarse_steps_without_overflow(self, ratio):
+        assert kde._grid_terms(ratio) is None
 
     def test_direct_only_outside_binned_regime(self, rng):
         centers = rng.normal(size=2000)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from melc.geometry import UnitDirection
-from melc.kde import Kde1d, silverman_bandwidth
+from melc.kde import Kde1d, kde_eval, silverman_bandwidth
 from melc.objectives import (
     GaussianSpec,
     ProjectedPair,
@@ -239,8 +239,57 @@ class TestRescaledPair:
         pair = rescaled_pair(minus, plus, 0.4, 0.6, 5.0)
         centers = np.concatenate([pair.f_minus.centers, pair.f_plus.centers])
         assert centers.min() >= 0.0 and centers.max() <= 1.0
-        assert pair.applied_map is not None
-        assert pair.f_minus.bandwidth == pytest.approx(0.4 * pair.applied_map.scale)
+        # One scale for both densities keeps the bandwidth ratio.
+        assert pair.f_minus.bandwidth / pair.f_plus.bandwidth == pytest.approx(0.4 / 0.6)
+
+    def test_random_centers_land_in_unit_interval(self, rng):
+        for _ in range(50):
+            minus = rng.normal(scale=5.0, size=rng.integers(1, 6))
+            plus = rng.normal(scale=5.0, size=rng.integers(1, 6))
+            sm, sp = rng.uniform(0.01, 2.0, size=2)
+            pair = rescaled_pair(minus, plus, sm, sp, rng.uniform(0.5, 6.0))
+            centers = np.concatenate([pair.f_minus.centers, pair.f_plus.centers])
+            assert centers.min() >= 0.0 - 1e-12
+            assert centers.max() <= 1.0 + 1e-12
+
+    def test_worked_example(self):
+        pair = rescaled_pair([-1.0], [3.0], 0.5, 0.25, 3.0)
+        # The buffered interval is [-2.5, 4.5], so x maps to (x + 2.5) / 7.
+        assert pair.f_minus.centers[0] == pytest.approx(3 / 14)
+        assert pair.f_plus.centers[0] == pytest.approx(11 / 14)
+        assert pair.f_minus.bandwidth == pytest.approx(0.5 / 7)
+        assert pair.f_plus.bandwidth == pytest.approx(0.25 / 7)
+
+    @pytest.mark.parametrize("tail_k", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_tail_k(self, tail_k):
+        with pytest.raises(ValueError, match="tail_k"):
+            rescaled_pair([0.0], [1.0], 0.5, 0.5, tail_k)
+
+    def test_cross_integral_scales_with_the_axis(self, rng):
+        for _ in range(20):
+            minus = rng.normal(scale=3.0, size=rng.integers(1, 11))
+            plus = rng.normal(scale=3.0, size=rng.integers(1, 11))
+            sm, sp = rng.uniform(0.1, 1.5, size=2)
+            plain = projected_pair(minus, plus, sm, sp)
+            pair = rescaled_pair(minus, plus, sm, sp, 5.0)
+            scale = pair.f_minus.bandwidth / sm
+            assert cip(pair) == pytest.approx(cip(plain) / scale, rel=1e-13)
+
+    def test_density_changes_variables_pointwise(self, rng):
+        minus = rng.normal(size=7)
+        plus = rng.normal(size=4) + 3.0
+        plain = projected_pair(minus, plus, 0.3, 0.7)
+        pair = rescaled_pair(minus, plus, 0.3, 0.7, 3.0)
+        # The buffered interval is [min - 2.1, max + 2.1].
+        lo = min(minus.min(), plus.min()) - 2.1
+        scale = 1.0 / (max(minus.max(), plus.max()) + 2.1 - lo)
+        xs = rng.normal(size=20) + 1.5
+        for side in ("f_minus", "f_plus"):
+            np.testing.assert_allclose(
+                kde_eval(getattr(pair, side), scale * (xs - lo)),
+                kde_eval(getattr(plain, side), xs) / scale,
+                rtol=1e-12,
+            )
 
     def test_silverman_defaults_in_projected_pair(self, rng):
         minus = rng.normal(size=30)
@@ -252,7 +301,8 @@ class TestRescaledPair:
         sigmas = silverman_bandwidth(minus), silverman_bandwidth(plus)
         default = rescaled_pair(minus, plus, None, None, 5.0)
         explicit = rescaled_pair(minus, plus, *sigmas, 5.0)
-        assert default.applied_map == explicit.applied_map
+        ratio = default.f_minus.bandwidth / default.f_plus.bandwidth
+        assert ratio == pytest.approx(sigmas[0] / sigmas[1])
         for side in ("f_minus", "f_plus"):
             got, want = getattr(default, side), getattr(explicit, side)
             assert got.bandwidth == want.bandwidth

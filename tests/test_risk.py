@@ -263,25 +263,6 @@ class TestClassify:
         xs = np.array([[-0.5, 0.0], [0.5, 0.0], [1.5, 0.0], [2.5, 0.0]])
         np.testing.assert_array_equal(classify(model, xs), [1, -1, 1, -1])
 
-    def test_applied_map_is_used(self):
-        mapping_model = MultithresholdModel(
-            direction=X_AXIS,
-            thresholds=np.array([0.5]),
-            leftmost_sign=-1,
-            applied_map=None,
-        )
-        from melc.geometry import AffineMap1d
-
-        shifted = MultithresholdModel(
-            direction=X_AXIS,
-            thresholds=np.array([0.5]),
-            leftmost_sign=-1,
-            applied_map=AffineMap1d(scale=0.1, offset=0.0),
-        )
-        x = np.array([3.0, 0.0])
-        assert classify(mapping_model, x) == 1  # 3.0 beyond 0.5
-        assert classify(shifted, x) == -1  # rescaled to 0.3, below 0.5
-
     def test_dimension_mismatch(self):
         model = MultithresholdModel(
             direction=X_AXIS, thresholds=np.empty(0), leftmost_sign=1
