@@ -6,17 +6,18 @@ product of two such mixtures integrates in closed form to a sum over kernel
 pairs, which is what the objective stack builds on.
 
 The O(N^2) layers have two evaluators. The direct one sums every kernel
-pair, or every kernel at every grid node, that lies within ``_CUTOFF_STDS``
-standard deviations. For pair sums it visits only those pairs, target by
-target, takes a far closest pair's exponent exactly and the others relative
-to it, and keeps numpy's ``exp`` off the arguments that underflow or give
-subnormals, which leave its vector loop and cost 15 to 100 times more per
-element. The binned one, ``binned_density_on_grid``, serves wide kernels
-(Wand 1994, binned KDE; Greengard & Strain 1991, the fast Gauss transform):
-it evaluates a density on a ``np.linspace`` grid by FFT convolution of
-per-node Taylor moments of the centers' offsets from the nodes with
-closed-form kernel spectra, when the grid step is small against the
-bandwidth (at most 12 terms reach a remainder of 1e-17 of a kernel's peak).
+pair, or every kernel at a point, that lies within ``_CUTOFF_STDS``
+standard deviations of the closest one. For pair sums it visits only those
+pairs, target by target, and takes a far closest pair's exponent exactly
+and the others relative to it; at points it gives ln f. Either way it keeps
+numpy's ``exp`` off the arguments that underflow or give subnormals, which
+leave its vector loop and cost 15 to 100 times more per element. The
+binned one, ``binned_density_on_grid``, serves wide kernels (Wand 1994,
+binned KDE; Greengard & Strain 1991, the fast Gauss transform): it
+evaluates a density on a ``np.linspace`` grid by FFT convolution of per-node
+Taylor moments of the centers' offsets from the nodes with closed-form
+kernel spectra, when the grid step is small against the bandwidth (at most
+12 terms reach a remainder of 1e-17 of a kernel's peak).
 The moments sit on every D-th node, D r <= 0.08 for a step of r bandwidths,
 so their transforms are D times shorter than the one inverse transform that
 gives every node. Its error is absolute, about 1e-16 of the peak density at
@@ -32,16 +33,14 @@ quadrature and the threshold scan share; ``cross_integral`` on bare
 densities, and so each self-integral on its own window, makes a new one.
 
 ``kde_eval`` truncates nothing; the tests take it as the oracle.
-``eval_on_sorted_grid`` is always direct. It sums each node's terms in the
-same order whichever other nodes it is given, so a subset of a grid gets the
-full grid's bits, and it never passes ``exp`` an exponent whose result is
-exactly 0. ``_grid_minimum`` uses that to give the overlap's direct minimum
-of two densities bit for bit while evaluating each density only at the
-nodes where it can be the smaller. ``_LogBand`` gives ln f, finite
+``_LogBand`` is the one direct evaluator at points: it gives ln f, finite
 where f underflows, at one point of each of a set of intervals, from the
-centers within reach of the interval; it serves threshold extraction
-(``melc.risk``) and shares its windowed block loop, ``_Band``, with the
-direct pair sum.
+centers within reach of the interval, and shares its windowed block loop,
+``_Band``, with the direct pair sum. It serves threshold extraction and the
+overlap's direct path (``melc.risk``). There a density counts as 0 at the
+grid nodes that no block of _CHUNK sorted centers reaches within
+_CUTOFF_STDS bandwidths, and as 0 below e^_EXP_FLOOR; ``_grid_minimum``
+evaluates each density only at the nodes where it can be the smaller.
 
 ``_lattice_cip_screen`` estimates the cross information potential of two
 2-D classes projected on every direction of an angle grid at once, with an
@@ -94,14 +93,8 @@ _EXP_FLOOR = -700.0
 # The direct pair sum's closest pair: below this exponent E its rounding,
 # about 1.5 |E| eps of the sum, could pass 1e-14, so it is taken exactly.
 _EXACT_EXP = -30.0
-# exp of an exponent below -_EXP_ZERO is exactly 0: the smallest subnormal is
-# exp(-744.4). The grid evaluator drops such terms instead.
-_EXP_ZERO = 746.0
-# _grid_minimum's bounds: an upper bound takes exponents of at least
-# _BOUND_EXP, so that exp(_BOUND_EXP) / 85 covers a subnormal term's absolute
-# rounding, and the bounds must differ by a factor of 1.02, which covers that
-# and every other rounding.
-_BOUND_EXP = -740.0
+# _grid_minimum's bounds on two log densities must differ by a factor of
+# 1.02, which covers their rounding.
 _BOUND_MARGIN = math.log(1.02)
 
 # Pair sums on the grid (``_grid_pair_integral``): _PAIR_GRID_POINTS nodes
@@ -269,56 +262,6 @@ def kde_eval(f: Kde1d, x):
     return out.reshape(x_arr.shape)
 
 
-def eval_on_sorted_grid(f: Kde1d, grid: np.ndarray) -> np.ndarray:
-    """Density values on an ascending grid, skipping kernels farther than
-    ``_CUTOFF_STDS`` bandwidths from a grid block (below 1e-15 relative).
-
-    Every node's value is summed block by block, and within a block center
-    by center, from the same terms whichever other nodes are given, so at
-    any ascending subset of a grid it is the full grid's value bit for bit.
-    Terms whose exponent is below -_EXP_ZERO are exactly 0 and are dropped
-    before ``exp``, which would take its slow path on them."""
-    out = np.zeros(grid.size)
-    centers = f._sorted_centers
-    reach = _CUTOFF_STDS * f.bandwidth
-    inv2s2 = 0.5 / (f.bandwidth * f.bandwidth)
-    lo, hi = _block_ranges(centers, reach, grid)
-    scratch = np.empty(min(_CHUNK, centers.size) * grid.size)
-    for k in np.flatnonzero(hi > lo):
-        block = centers[k * _CHUNK : (k + 1) * _CHUNK]
-        nodes = grid[lo[k] : hi[k]]
-        underflows = _underflows(block, nodes, inv2s2)
-        if underflows:
-            # Centers whose nearest node is too far add only zeros.
-            near = _nearest_distances(nodes, block)
-            block = block[np.square(near) * inv2s2 <= _EXP_ZERO]
-            if block.size == 0:
-                continue
-            underflows = _underflows(block, nodes, inv2s2)
-        w = scratch[: block.size * nodes.size].reshape(block.size, nodes.size)
-        np.subtract(block[:, None], nodes[None, :], out=w)
-        np.square(w, out=w)
-        w *= -inv2s2
-        if underflows:
-            keep = w >= -_EXP_ZERO
-            w *= keep  # exp(-0.0) is 1, zeroed again below
-            np.exp(w, out=w)
-            w *= keep
-        else:
-            np.exp(w, out=w)
-        # numpy sums one column pairwise and a wider block row by row.
-        out[lo[k] : hi[k]] += w.sum(axis=0) if nodes.size > 1 else w.cumsum()[-1]
-    out /= centers.size * f.bandwidth * _SQRT_2PI
-    return out
-
-
-def _underflows(block: np.ndarray, nodes: np.ndarray, inv2s2: float) -> bool:
-    """Whether some exponent -(c - x)^2 inv2s2 of ascending centers and nodes
-    is below -_EXP_ZERO: the farthest pair's, rounded as the terms are."""
-    far = max(nodes[-1] - block[0], block[-1] - nodes[0])
-    return far * far * inv2s2 > _EXP_ZERO
-
-
 def _block_ranges(centers: np.ndarray, reach: float, grid: np.ndarray):
     """For each block of _CHUNK sorted centers, the first and one past the
     last node of the ascending grid within ``reach`` of the block."""
@@ -331,48 +274,64 @@ def _block_ranges(centers: np.ndarray, reach: float, grid: np.ndarray):
     return lo, hi
 
 
-def _grid_minimum(f: Kde1d, g: Kde1d, grid: np.ndarray) -> np.ndarray:
-    """np.minimum(eval_on_sorted_grid(f, grid), eval_on_sorted_grid(g, grid))
-    bit for bit, evaluating each density only where it can be the smaller.
+def _reached(f: Kde1d, grid: np.ndarray) -> np.ndarray:
+    """Whether some block of _CHUNK sorted centers of f lies within
+    _CUTOFF_STDS bandwidths of each node of the ascending grid. The overlap
+    takes f as exactly 0 at the other nodes."""
+    lo, hi = _block_ranges(f._sorted_centers, _CUTOFF_STDS * f.bandwidth, grid)
+    opened = np.bincount(lo, minlength=grid.size + 1) - np.bincount(hi, minlength=grid.size + 1)
+    return np.cumsum(opened[:-1]) > 0
 
-    Where one density's blocks do not reach a node, or its nearest center's
-    term is exactly 0, that density and so the minimum are exactly 0. At the
-    other nodes a density is skipped where it is certainly the larger one:
-    its sum holds its nearest center's term, a normal number, when that
-    center's block reaches the node, while the other density's sum is at
-    most N of its own nearest center's terms. The quotients by the norms are
-    rounded in order, so the skipped value cannot be the smaller."""
-    pair = (f, g)
-    ranges = [_block_ranges(d._sorted_centers, _CUTOFF_STDS * d.bandwidth, grid) for d in pair]
-    reached = np.ones(grid.size, dtype=bool)
-    for lo, hi in ranges:
-        opened = np.bincount(lo, minlength=grid.size + 1) - np.bincount(hi, minlength=grid.size + 1)
-        reached &= np.cumsum(opened[:-1]) > 0
-    nodes = np.flatnonzero(reached)
-    x = grid[nodes]
-    zero = np.zeros(nodes.size, dtype=bool)
-    lower, upper = [], []  # bounds on ln of each density's value
-    for d, (lo, hi) in zip(pair, ranges):
-        centers = d._sorted_centers
-        right = np.minimum(np.searchsorted(centers, x), centers.size - 1)
-        left = np.maximum(right - 1, 0)
-        nearest = np.where(np.abs(centers[left] - x) < np.abs(centers[right] - x), left, right)
-        # The nearest center's exponent, rounded as the evaluator rounds it.
-        exponent = np.square(centers[nearest] - x) * (-0.5 / (d.bandwidth * d.bandwidth))
-        zero |= exponent < -_EXP_ZERO
-        block = nearest // _CHUNK
-        held = (lo[block] <= nodes) & (nodes < hi[block]) & (exponent >= _EXP_FLOOR)
-        log_norm = math.log(centers.size * d.bandwidth * _SQRT_2PI)
-        lower.append(np.where(held, exponent - log_norm, -np.inf))
-        upper.append(math.log(centers.size) + np.maximum(exponent, _BOUND_EXP) - log_norm)
-    values = []
-    for d, own, other in ((f, lower[0], upper[1]), (g, lower[1], upper[0])):
-        wanted = ~zero & (own <= other + _BOUND_MARGIN)
-        v = np.full(nodes.size, np.inf)
-        v[wanted] = eval_on_sorted_grid(d, x[wanted])
-        values.append(v)
+
+def _exp_log(log_values: np.ndarray) -> np.ndarray:
+    """exp of log densities, 0 below _EXP_FLOOR (about 1e-304), so that
+    ``exp`` never takes its slow path on results that are subnormal or 0."""
+    out = np.zeros(log_values.size)
+    kept = log_values >= _EXP_FLOOR
+    out[kept] = np.exp(log_values[kept])
+    return out
+
+
+def _direct_on_grid(f: Kde1d, grid: np.ndarray) -> np.ndarray:
+    """f at the nodes of the ascending grid that its blocks reach, as
+    exp(ln f) from ``_LogBand``, and 0 at the others."""
     out = np.zeros(grid.size)
-    out[nodes[~zero]] = np.minimum(*values)[~zero]
+    nodes = np.flatnonzero(_reached(f, grid))
+    x = grid[nodes]
+    out[nodes] = _exp_log(_LogBand(f, x, x)(x))
+    return out
+
+
+def _grid_minimum(f: Kde1d, g: Kde1d, grid: np.ndarray) -> np.ndarray:
+    """min(f, g) at the nodes of the ascending grid that both densities'
+    blocks reach, exp(min(ln f, ln g)) from ``_LogBand``, and 0 at the
+    others, evaluating each density only where it can be the smaller.
+
+    A density's ln f is at least its nearest center's exponent, which its
+    band takes as its largest, and at most that plus ln N. A density is
+    skipped where its lower bound exceeds the other's upper bound by a
+    factor of 1.02, which covers the rounding of both. A node where the
+    smaller upper bound is below _EXP_FLOOR by that factor is 0 unevaluated,
+    as ``_exp_log`` would make it."""
+    nodes = np.flatnonzero(_reached(f, grid) & _reached(g, grid))
+    x = grid[nodes]
+    bounds = []  # lower and upper bounds on ln of each density's value
+    for d in (f, g):
+        centers = d._sorted_centers
+        log_norm = math.log(centers.size * d.bandwidth * _SQRT_2PI)
+        # The nearest center's exponent, rounded as the band rounds it.
+        nearest = np.square(_nearest_distances(centers, x)) * (-0.5 / (d.bandwidth * d.bandwidth))
+        bounds.append((nearest - log_norm, nearest + (math.log(centers.size) - log_norm)))
+    (lower_f, upper_f), (lower_g, upper_g) = bounds
+    live = np.minimum(upper_f, upper_g) + _BOUND_MARGIN >= _EXP_FLOOR
+    logs = []
+    for d, own, other in ((f, lower_f, upper_g), (g, lower_g, upper_f)):
+        wanted = live & (own <= other + _BOUND_MARGIN)
+        log_values = np.full(nodes.size, np.inf)
+        log_values[wanted] = _LogBand(d, x[wanted], x[wanted])(x[wanted])
+        logs.append(log_values)
+    out = np.zeros(grid.size)
+    out[nodes[live]] = _exp_log(np.minimum(*logs)[live])
     return out
 
 
@@ -403,7 +362,7 @@ def _transform_length(n: int) -> int:
 
 def binned_density_on_grid(f: Kde1d, grid: np.ndarray) -> np.ndarray | None:
     """Density values on ``grid = np.linspace(lo, hi, n)`` by the binned
-    expansion, or None where the direct ``eval_on_sorted_grid`` must be used:
+    expansion, or None where the direct ``_LogBand`` must be used:
     the grid step is too coarse for the bandwidth, the window too narrow for
     a transform of at most _GRID_MAX_LENGTH grids, the problem too small to
     pay for the transform, or a center lies outside the grid."""

@@ -15,17 +15,20 @@ densities are the pair's, evaluated at most once per pair and shared with
 about 1e-16 of the peak density, so an overlap below 1e-3 is recomputed with
 the direct evaluator: -ln(overlap) in the entropy bound then stays within
 1e-12. Where the center distances alone bound the overlap below 1e-3, the
-direct evaluator runs from the start. The direct minimum of the two densities is
-bit for bit that of both densities on the full grid, but each density is
-evaluated only at the nodes that both densities reach and where it is not
-certainly the larger one.
+direct evaluator runs from the start. The direct minimum of the two
+densities is exp(min(ln f_minus, ln f_plus)) from the log-domain band
+evaluator of ``melc.kde``, at the nodes that both densities' blocks of
+centers reach, each density evaluated only where it is not certainly the
+larger one.
 
 Threshold extraction reads the sign of f_plus - f_minus from the binned
 densities only at grid nodes where the difference exceeds a margin of 1e-12
 of the larger kernel peak, 1000 times the binned error. Every other node and
 every bisection midpoint takes the sign of ln f_plus - ln f_minus from the
-log-domain band evaluator of ``melc.kde``, which stays finite where the
-densities underflow, so the rule is defined at any bandwidth.
+band evaluator, which stays finite where the densities underflow, so the
+rule is defined at any bandwidth. Where a density is not binned, the centers
+and the midpoints of adjacent centers are signed as well, so that a grid
+cell holding two crossings is not skipped.
 """
 
 import math
@@ -36,11 +39,11 @@ import numpy as np
 from .geometry import LabeledDataset, UnitDirection, project
 from .kde import (
     _PAIR_GRID_POINTS,
+    _direct_on_grid,
     _grid_minimum,
     _LogBand,
     _pair_window,
     binned_density_on_grid,
-    eval_on_sorted_grid,
     min_density_bound,
 )
 from .objectives import ProjectedPair, projected_pair, renyi_cross_entropy
@@ -191,7 +194,7 @@ def overlap_integral(
         binned = _binned(p, grid)
         if any(v is not None for v in binned):
             fm, fp = (
-                eval_on_sorted_grid(f, grid) if v is None else v
+                _direct_on_grid(f, grid) if v is None else v
                 for f, v in zip(densities, binned)
             )
             overlap = float(np.trapezoid(np.minimum(fm, fp), grid))
@@ -246,12 +249,18 @@ def _bisect_roots(p: ProjectedPair, lo, hi, positive_left):
     return 0.5 * (lo + hi)
 
 
-def _grid_signs(p: ProjectedPair, grid: np.ndarray) -> np.ndarray:
+def _log_signs(p: ProjectedPair, x: np.ndarray) -> np.ndarray:
+    """The sign of ln f_plus - ln f_minus at the ascending points x."""
+    return _signs(*(_LogBand(f, x, x)(x) for f in (p.f_plus, p.f_minus)))
+
+
+def _grid_signs(p: ProjectedPair, grid: np.ndarray, binned: tuple) -> np.ndarray:
     """The sign of f_plus - f_minus at every node. Where both densities are
-    binned, a node whose binned difference exceeds the margin keeps the
-    binned sign; the others take the sign of ln f_plus - ln f_minus."""
+    ``binned`` (f_minus, f_plus) on the grid, a node whose binned difference
+    exceeds the margin keeps the binned sign; the others take the sign of
+    ln f_plus - ln f_minus."""
     signs = np.zeros(grid.size)
-    minus, plus = _binned(p, grid)
+    minus, plus = binned
     doubt = slice(None)
     if minus is not None and plus is not None:
         sigma = min(p.f_plus.bandwidth, p.f_minus.bandwidth)
@@ -262,9 +271,22 @@ def _grid_signs(p: ProjectedPair, grid: np.ndarray) -> np.ndarray:
         sure = np.abs(diff) > margin
         signs[sure] = np.sign(diff[sure])
         doubt = np.flatnonzero(~sure)
-    nodes = grid[doubt]
-    signs[doubt] = _signs(*(_LogBand(f, nodes, nodes)(nodes) for f in (p.f_plus, p.f_minus)))
+    signs[doubt] = _log_signs(p, grid[doubt])
     return signs
+
+
+def _center_candidates(p: ProjectedPair, grid: np.ndarray) -> np.ndarray:
+    """Every center of both classes and the midpoint of every two adjacent
+    sorted centers, ascending and distinct, inside the grid's window and off
+    its nodes. A midpoint lies between its two centers, so interleaving them
+    keeps the order."""
+    centers = np.sort(np.concatenate([p.f_minus.centers, p.f_plus.centers]))
+    points = np.empty(2 * centers.size - 1)
+    points[0::2] = centers
+    points[1::2] = 0.5 * (centers[:-1] + centers[1:])
+    points = points[(points > grid[0]) & (points < grid[-1])]
+    points = points[np.diff(points, prepend=-np.inf) > 0]
+    return points[grid[np.searchsorted(grid, points)] != points]
 
 
 def build_multithreshold_model(
@@ -277,11 +299,25 @@ def build_multithreshold_model(
     Zeros of the density difference are located by sign change on the grid and
     refined by bisection to brackets no wider than ``DEFAULT_REFINE_TOL``. The
     sign at the left end of the integration window fixes the leftmost region's
-    label; no thresholds at all means one class dominates everywhere.
+    label; no thresholds at all means one class dominates everywhere. Where
+    a density is not binned on the grid, every sign is direct, and the
+    centers and the midpoints between adjacent centers join the grid as
+    candidates, so that a grid cell holding two crossings is not skipped;
+    a candidate whose densities tie carries no side and is left out.
     """
     _check_grid_points(grid_points)
     grid = _grid(p, grid_points)
-    signs = _grid_signs(p, grid)
+    binned = _binned(p, grid)
+    points, signs = grid, _grid_signs(p, grid, binned)
+    if any(values is None for values in binned):
+        extra = _center_candidates(p, grid)
+        # A grid's worth at a time, which bounds the bands' scratch memory.
+        parts = np.array_split(extra, max(1, -(-extra.size // grid.size)))
+        extra_signs = np.concatenate([_log_signs(p, part) for part in parts])
+        sided = extra_signs != 0
+        points = np.concatenate([grid, extra[sided]])
+        order = np.argsort(points, kind="stable")
+        points, signs = points[order], np.concatenate([signs, extra_signs[sided]])[order]
 
     nonzero = np.flatnonzero(signs != 0)
     if nonzero.size == 0:
@@ -289,7 +325,7 @@ def build_multithreshold_model(
         return MultithresholdModel(direction=v, thresholds=np.empty(0), leftmost_sign=1)
     leftmost_sign = int(signs[nonzero[0]])
 
-    # Brackets between consecutive nonzero grid points of opposite sign; flat
+    # Brackets between consecutive nonzero points of opposite sign; flat
     # zero runs in between collapse to their midpoint (a tie-break formality,
     # Gaussian mixtures have measure-zero flat regions).
     left, right = nonzero[:-1], nonzero[1:]
@@ -300,10 +336,10 @@ def build_multithreshold_model(
     if np.any(adjacent):
         bracketed = left[adjacent]
         refined = _bisect_roots(
-            p, grid[bracketed], grid[bracketed + 1], signs[bracketed] > 0
+            p, points[bracketed], points[bracketed + 1], signs[bracketed] > 0
         )
         roots.extend(refined.tolist())
-    roots.extend((0.5 * (grid[left[~adjacent]] + grid[right[~adjacent]])).tolist())
+    roots.extend((0.5 * (points[left[~adjacent]] + points[right[~adjacent]])).tolist())
     thresholds = np.sort(np.asarray(roots))
     return MultithresholdModel(
         direction=v, thresholds=thresholds, leftmost_sign=leftmost_sign

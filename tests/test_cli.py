@@ -248,9 +248,11 @@ FIXTURE = Path(__file__).parent / "data" / "classify_two_gauss_43_44.json"
 
 
 class TestClassifyRegression:
-    """Seeded classify runs against outputs recorded with the all-direct
-    threshold scan and kde_eval bisection: two-gauss seed 43 to train, seed
-    44 to test, 2000 points a class, 720 angles."""
+    """Seeded classify runs against recorded outputs: two-gauss seed 43 to
+    train, seed 44 to test, 2000 points a class, 720 angles. The Silverman
+    entry was recorded with the all-direct threshold scan and kde_eval
+    bisection; the sigma 1e-3 entry with the centers and their adjacent
+    midpoints as extra candidates of the all-direct scan."""
 
     @pytest.mark.parametrize("case, sigma", [("silverman", None), ("sigma_1e-3", "0.001")])
     def test_matches_recorded_outputs(self, tmp_path, case, sigma, capsys):
@@ -278,6 +280,24 @@ class TestClassifyRegression:
         assert [fmt(b) for b in side["bandwidths"]] == want["bandwidths"]
         assert fmt(side["balanced_error"]) == want["balanced_error"]
         assert "".join("+" if label == "+1" else "-" for label in labels) == want["predictions"]
+
+
+class TestNarrowTrainingError:
+    """At narrow bandwidths the rule sign(f_plus - f_minus) separates the
+    training set, also where two crossings share a grid cell: two-gauss
+    seed 7, 300 points a class, trained and tested on the same file. With
+    signs read only at the grid nodes it misclassified one point of a class
+    (balanced error 0.0016667)."""
+
+    @pytest.mark.parametrize("sigma", ["1e-5", "1e-3"])
+    def test_trains_to_zero_error(self, tmp_path, sigma, capsys):
+        data = tmp_path / "two-gauss-7.csv"
+        assert run(["datagen", "--name", "two-gauss", "--seed", 7, "--n", 300, "--out", data]) == 0
+        out = tmp_path / "out.csv"
+        assert run(["classify", "--train", data, "--test", data, "--out", out,
+                    "--angles", 90, "--sigma", sigma]) == 0
+        capsys.readouterr()
+        assert json.loads(out.with_suffix(".json").read_text())["balanced_error"] == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -328,7 +348,7 @@ class TestSilvermanRegression:
 
         recording(kde, "_direct_pair_sum", direct)
         recording(risk, "_grid_minimum", direct)
-        recording(risk, "eval_on_sorted_grid", direct)
+        recording(risk, "_direct_on_grid", direct)
         recording(kde, "_binned_density", binned)
         out = tmp_path / "out.csv"
         assert run([command, "--data", two_gauss_7_csv, "--out", out, "--angles", 90]) == 0

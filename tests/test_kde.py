@@ -6,14 +6,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import clusters, grid_density_oracle, trapezoid_product_integral
+from conftest import trapezoid_product_integral
 from melc import kde
 from melc.kde import (
     DegenerateBandwidthError,
     Kde1d,
     binned_density_on_grid,
     cross_integral,
-    eval_on_sorted_grid,
     kde_eval,
     min_density_bound,
     self_integral,
@@ -575,8 +574,8 @@ class TestCipLowerBound:
 
 
 def _exact_density(f, grid):
-    """The direct sum in extended precision, as a reference for the rounding
-    of both evaluators."""
+    """The untruncated sum in extended precision, the binned density's
+    reference."""
     centers = f.centers.astype(np.longdouble)
     nodes = grid.astype(np.longdouble)
     sigma = np.longdouble(f.bandwidth)
@@ -588,7 +587,8 @@ def _exact_density(f, grid):
 
 
 class TestBinnedGridDensity:
-    """The binned FFT density against the direct evaluator as the oracle."""
+    """The binned FFT density against an extended-precision sum as the
+    oracle."""
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
@@ -603,20 +603,16 @@ class TestBinnedGridDensity:
         st.integers(0, 2**32 - 1),
     )
     def test_matches_direct_on_exact_lattice(self, size, spread, loc, sigma, seed):
-        # Nodes -8 + g/256 are exact in float64, so both evaluators see the
-        # same uniform lattice and only their rounding differs.
+        # Nodes -8 + g/256 are exact in float64, so the binned evaluator's
+        # uniform lattice is the grid itself and only its rounding differs.
         grid = np.linspace(-8.0, -8.0 + 4095.0 / 256.0, 4096)
         centers = np.clip(
             np.random.default_rng(seed).normal(loc, spread, size=size), -7.0, 7.0
         )
         f = Kde1d(centers, sigma)
         binned = kde._binned_density(f, grid)
-        direct = eval_on_sorted_grid(f, grid)
         exact = _exact_density(f, grid)
-        peak = float(exact.max())
-        direct_rounding = float(np.max(np.abs(direct - exact)))
-        assert float(np.max(np.abs(binned - exact))) <= 1e-15 * peak
-        assert np.max(np.abs(binned - direct)) <= 1e-15 * peak + direct_rounding
+        assert float(np.max(np.abs(binned - exact))) <= 1e-15 * float(exact.max())
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
@@ -757,87 +753,3 @@ class TestBinnedGridDensity:
         narrow = np.linspace(-0.5, 0.5, 4096)
         assert binned_density_on_grid(Kde1d(inside, 1.0 / 3.5), narrow) is None
         assert binned_density_on_grid(Kde1d(inside, 1.0 / 5.0), narrow) is not None
-
-
-@st.composite
-def clustered_densities(draw):
-    """A density of clusters more than 40 bandwidths apart (40 units at the
-    Silverman bandwidth) on the 4096-node grid spanning its centers and 8
-    bandwidths either side."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sigma = draw(st.sampled_from([None, 0.02, 1e-3, 1e-5]))
-    centers = clusters(rng, sigma or 1.0, draw(st.integers(1, 4)))
-    f = Kde1d(centers, sigma or silverman_bandwidth(centers))
-    pad = 8.0 * f.bandwidth
-    return f, np.linspace(centers.min() - pad, centers.max() + pad, 4096)
-
-
-class TestGridEvaluatorSubsets:
-    """The direct grid evaluator gives the oracle's bits on full grids, and
-    at any ascending subset of nodes the full grid's bits there."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(clustered_densities())
-    def test_full_grid_matches_the_oracle(self, density):
-        f, grid = density
-        np.testing.assert_array_equal(eval_on_sorted_grid(f, grid), grid_density_oracle(f, grid))
-
-    @settings(max_examples=100, deadline=None)
-    @given(clustered_densities(), st.sampled_from([0.001, 0.05, 0.5]), st.integers(0, 2**32 - 1))
-    def test_subsets_match_the_full_grid(self, density, share, seed):
-        f, grid = density
-        rng = np.random.default_rng(seed)
-        full = grid_density_oracle(f, grid)
-        lo, hi = kde._block_ranges(np.sort(f.centers), kde._CUTOFF_STDS * f.bandwidth, grid)
-        reaching = np.flatnonzero(hi > lo)
-        # One node inside each of a few blocks' ranges, alone in its block
-        # unless two blocks overlap there.
-        isolated = [int(rng.integers(lo[k], hi[k])) for k in rng.choice(reaching, min(3, reaching.size))]
-        subsets = [
-            np.flatnonzero(rng.uniform(size=grid.size) < share),
-            np.array([int(rng.integers(grid.size))]),
-            np.unique(isolated),
-        ]
-        for nodes in subsets:
-            np.testing.assert_array_equal(eval_on_sorted_grid(f, grid[nodes]), full[nodes])
-
-    def test_a_single_node_block_is_summed_row_by_row(self):
-        # A block of 24 centers within a bandwidth reaches one node of a
-        # coarse grid; numpy would sum that one column pairwise, to other bits.
-        centers = np.concatenate([np.linspace(0.0, 1.0, 24), [1000.0]])
-        f = Kde1d(centers, 1.0)
-        grid = np.array([-40.0, 0.3, 40.0, 990.0])
-        terms = np.exp(np.square(centers[:24] - 0.3) * -0.5)
-        row_by_row = 0.0
-        for term in terms:
-            row_by_row += term
-        assert terms[:, None].sum(axis=0)[0] != row_by_row
-        expected = row_by_row / (centers.size * f.bandwidth * kde._SQRT_2PI)
-        assert eval_on_sorted_grid(f, grid)[1] == expected
-        assert eval_on_sorted_grid(f, grid[1:2])[0] == expected
-
-    def test_exp_never_sees_an_underflowing_exponent(self, rng, monkeypatch):
-        # Two clusters 150 bandwidths apart share blocks of centers, so each
-        # block reaches nodes where the other cluster's terms are exactly 0;
-        # exp would take its slow path on their exponents.
-        lowest = []
-
-        class RecordingNumpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            @staticmethod
-            def exp(x, *args, **kwargs):
-                finite = np.asarray(x)[np.isfinite(x)]
-                lowest.append(float(finite.min(initial=0.0)))
-                return np.exp(x, *args, **kwargs)
-
-        sigma = 1e-3
-        centers = np.concatenate([rng.normal(0.0, sigma, 100), rng.normal(150.0 * sigma, sigma, 100)])
-        f = Kde1d(centers, sigma)
-        grid = np.linspace(-10.0 * sigma, 160.0 * sigma, 4096)
-        expected = grid_density_oracle(f, grid)
-        monkeypatch.setattr(kde, "np", RecordingNumpy())
-        got = eval_on_sorted_grid(f, grid)
-        assert lowest and min(lowest) >= -kde._EXP_ZERO
-        np.testing.assert_array_equal(got, expected)

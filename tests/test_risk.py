@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clusters, grid_density_oracle
+from conftest import clusters
 from melc import kde, risk
 from melc.datasets import DatasetSpec, generate
 from melc.geometry import LabeledDataset, UnitDirection, project
@@ -14,7 +14,6 @@ from melc.kde import (
     Kde1d,
     binned_density_on_grid,
     cross_integral,
-    eval_on_sorted_grid,
     kde_eval,
     min_density_bound,
     silverman_bandwidth,
@@ -400,14 +399,26 @@ class TestRiskEstimateInvariants:
 
 
 def direct_overlap(pair, window=None):
-    """overlap_integral's quadrature with both densities from the direct
-    evaluator."""
-    if window is None:
-        window = risk._pair_window(pair.f_minus, pair.f_plus)
-    grid = np.linspace(window[0], window[1], DEFAULT_GRID_POINTS)
-    fm = eval_on_sorted_grid(pair.f_minus, grid)
-    fp = eval_on_sorted_grid(pair.f_plus, grid)
-    return float(np.trapezoid(np.minimum(fm, fp), grid))
+    """overlap_integral's own direct path: its quadrature with binning
+    switched off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(risk, "_binned", lambda p, grid: (None, None))
+        return overlap_integral(pair, window=window)
+
+
+def reach_masked_minimum(pair, grid):
+    """min(f_minus, f_plus) at every node from the untruncated kde_eval, set
+    to 0 at the nodes that no block of kde._CHUNK sorted centers of either
+    density reaches within kde._CUTOFF_STDS bandwidths."""
+    minimum = np.minimum(kde_eval(pair.f_minus, grid), kde_eval(pair.f_plus, grid))
+    for f in (pair.f_minus, pair.f_plus):
+        centers, reach = np.sort(f.centers), kde._CUTOFF_STDS * f.bandwidth
+        reached = np.zeros(grid.size, dtype=bool)
+        for start in range(0, centers.size, kde._CHUNK):
+            block = centers[start : start + kde._CHUNK]
+            reached |= (grid >= block[0] - reach) & (grid <= block[-1] + reach)
+        minimum[~reached] = 0.0
+    return minimum
 
 
 def uses_binned_densities(pair, window=None):
@@ -421,7 +432,7 @@ def uses_binned_densities(pair, window=None):
 
 
 class TestBinnedOverlap:
-    """overlap_integral with binned densities against the direct oracle."""
+    """overlap_integral with binned densities against its own direct path."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -490,39 +501,78 @@ def direct_path_pairs(draw):
 
 class TestDirectOverlap:
     """The direct overlap evaluates each density only where it can be the
-    smaller, and returns the trapezoid sum of the elementwise minimum of the
-    two oracle densities bit for bit."""
+    smaller, and returns the trapezoid sum of the reach-masked minimum of the
+    two untruncated densities within 1e-12 relative. Node values below
+    e^-700 (about 1e-304) count as 0, so the comparison also allows the
+    window width times e^-700: overlaps below about 1e-290, made of such
+    values, are not held to 1e-12 relative."""
 
     @settings(max_examples=150, deadline=None)
     @given(direct_path_pairs())
     def test_equals_the_oracle_minimum(self, drawn):
         pair, window = drawn
         grid = np.linspace(window[0], window[1], DEFAULT_GRID_POINTS)
-        expected = np.trapezoid(
-            np.minimum(grid_density_oracle(pair.f_minus, grid), grid_density_oracle(pair.f_plus, grid)),
-            grid,
-        )
-        with pytest.MonkeyPatch.context() as patch:
-            # Without binned densities every pair takes the direct path.
-            patch.setattr(risk, "binned_density_on_grid", lambda f, grid: None)
-            assert overlap_integral(pair, window=window) == expected
+        expected = np.trapezoid(reach_masked_minimum(pair, grid), grid)
+        got = direct_overlap(pair, window)
+        assert abs(got - expected) <= 1e-12 * expected + (window[1] - window[0]) * math.exp(-700.0)
+
+    @pytest.mark.parametrize("seed, degrees", [(901, 28), (901, 35), (7, 147), (1, 21)])
+    def test_four_line_equals_the_oracle_minimum(self, seed, degrees):
+        # Four-line at sigma 0.05, 300 points a component: some nodes are
+        # reached by one block of a density while a nearer center sits in a
+        # block that does not reach them. A sum over the reaching blocks
+        # alone is 8e-11 off at 28 degrees.
+        data = generate(DatasetSpec("four-line", seed, 300))
+        minus, plus = project(data, UnitDirection.from_angle(math.radians(degrees)))
+        pair = projected_pair(minus, plus, 0.05, 0.05)
+        grid = np.linspace(*risk._pair_window(pair.f_minus, pair.f_plus), DEFAULT_GRID_POINTS)
+        expected = np.trapezoid(reach_masked_minimum(pair, grid), grid)
+        assert direct_overlap(pair) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_evaluates_few_nodes(self, monkeypatch):
         # Four-line at sigma 0.02: the classes meet on a few narrow bands.
         data = generate(DatasetSpec("four-line", 901, 500))
         pair = projected_pair(*project(data, UnitDirection.from_angle(0.3)), 0.02, 0.02)
         grid = np.linspace(*risk._pair_window(pair.f_minus, pair.f_plus), DEFAULT_GRID_POINTS)
-        expected = np.minimum(grid_density_oracle(pair.f_minus, grid), grid_density_oracle(pair.f_plus, grid))
+        expected = reach_masked_minimum(pair, grid)
         nodes = []
 
-        def recording(f, x):
-            nodes.append(x.size)
-            return eval_on_sorted_grid(f, x)
+        class Recording(kde._LogBand):
+            def __call__(self, x):
+                nodes.append(x.size)
+                return super().__call__(x)
 
-        monkeypatch.setattr(kde, "eval_on_sorted_grid", recording)
-        np.testing.assert_array_equal(kde._grid_minimum(pair.f_minus, pair.f_plus, grid), expected)
+        monkeypatch.setattr(kde, "_LogBand", Recording)
+        got = kde._grid_minimum(pair.f_minus, pair.f_plus, grid)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=math.exp(-700.0))
         assert np.count_nonzero(expected) > 0
         assert len(nodes) == 2 and sum(nodes) < 0.25 * grid.size
+
+    def test_exp_never_sees_an_exponent_below_the_floor(self, rng, monkeypatch):
+        # The minus clouds 150 bandwidths apart share a block, which reaches
+        # the plus cloud 30 bandwidths from the first; past about 37.4
+        # bandwidths from it the minus density falls below e^-700, then to 0.
+        lowest = []
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def exp(x, *args, **kwargs):
+                lowest.append(float(np.min(x, initial=0.0)))
+                return np.exp(x, *args, **kwargs)
+
+        sigma = 1e-3
+        minus = np.concatenate([rng.normal(0.0, sigma, 100), rng.normal(150.0 * sigma, sigma, 100)])
+        pair = projected_pair(minus, rng.normal(30.0 * sigma, sigma, 100), sigma, sigma)
+        grid = np.linspace(*risk._pair_window(pair.f_minus, pair.f_plus), DEFAULT_GRID_POINTS)
+        expected = reach_masked_minimum(pair, grid)
+        assert np.any((expected > 0.0) & (expected < math.exp(-700.0)))
+        monkeypatch.setattr(kde, "np", RecordingNumpy())
+        got = overlap_integral(pair)
+        assert lowest and min(lowest) >= -700.0
+        assert got == pytest.approx(np.trapezoid(expected, grid), rel=1e-12)
 
 
 def direct_grid_signs(pair, grid):
@@ -551,10 +601,21 @@ def kde_eval_bisection(pair, lo, hi, positive_left):
 
 def all_direct_model(pair, grid_points=DEFAULT_GRID_POINTS):
     """Thresholds and leftmost sign from the all-direct scan and bisection on
-    the band evaluator."""
+    the band evaluator. Where a density is not binned on the grid, every
+    center and every midpoint of adjacent sorted centers inside the window
+    and off the grid joins it, unless its densities tie."""
     window = risk._pair_window(pair.f_minus, pair.f_plus)
     grid = np.linspace(window[0], window[1], grid_points)
     signs = direct_grid_signs(pair, grid)
+    if not all(binned_density_on_grid(f, grid) is not None for f in (pair.f_minus, pair.f_plus)):
+        centers = np.sort(np.concatenate([pair.f_minus.centers, pair.f_plus.centers]))
+        extra = np.union1d(centers, 0.5 * (centers[1:] + centers[:-1]))
+        extra = extra[(extra > grid[0]) & (extra < grid[-1]) & ~np.isin(extra, grid)]
+        extra_signs = direct_grid_signs(pair, extra)
+        sided = extra_signs != 0
+        points = np.concatenate([grid, extra[sided]])
+        order = np.argsort(points)
+        grid, signs = points[order], np.concatenate([signs, extra_signs[sided]])[order]
     nonzero = np.flatnonzero(signs != 0)
     if nonzero.size == 0:
         return np.empty(0), 1
@@ -621,7 +682,8 @@ class TestCertifiedThresholdScan:
     def test_signs_equal_the_direct_scan(self, pair, grid_points):
         window = risk._pair_window(pair.f_minus, pair.f_plus)
         grid = np.linspace(window[0], window[1], grid_points)
-        np.testing.assert_array_equal(risk._grid_signs(pair, grid), direct_grid_signs(pair, grid))
+        signs = risk._grid_signs(pair, grid, risk._binned(pair, grid))
+        np.testing.assert_array_equal(signs, direct_grid_signs(pair, grid))
 
     @settings(max_examples=40, deadline=None)
     @given(threshold_pairs())
@@ -644,7 +706,7 @@ class TestCertifiedThresholdScan:
                 return super().__call__(x)
 
         monkeypatch.setattr(risk, "_LogBand", Recording)
-        risk._grid_signs(pair, grid)
+        risk._grid_signs(pair, grid, risk._binned(pair, grid))
         binned = sigma != 1e-3  # at 1e-3 the kernels are narrower than the grid step
         assert uses_binned_densities(pair) == binned
         if binned:
@@ -679,9 +741,8 @@ class TestCertifiedThresholdScan:
             window = risk._pair_window(pair.f_minus, pair.f_plus)
             grid = np.linspace(window[0], window[1], DEFAULT_GRID_POINTS)
             assert uses_binned_densities(pair)
-            np.testing.assert_array_equal(
-                risk._grid_signs(pair, grid), direct_grid_signs(pair, grid)
-            )
+            signs = risk._grid_signs(pair, grid, risk._binned(pair, grid))
+            np.testing.assert_array_equal(signs, direct_grid_signs(pair, grid))
 
 
 class TestThresholdCount:
