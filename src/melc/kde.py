@@ -51,8 +51,12 @@ is too fine to build, ``_cip_lower_bound`` bounds one projection's potential
 from below in O(N log N): the centers are summarized per occupied bin of one
 pair kernel standard deviation (count, mean, variance), and by Jensen's
 inequality each pair of nearby bins adds at least its count product times
-the kernel at its mean squared distance. The direction scan uses both only
-to order the angles it evaluates in closed form and to stop early.
+the kernel at its mean squared distance. Each has a cheap tier: the screen's
+ridge sum over its heavy offsets alone, and ``_count_cip_bound``, from count
+histograms of the unsorted centers in bins a third of that width. The
+direction scan uses them only to order the angles it evaluates in closed
+form and to stop early, and takes a tight bound only where the cheap one
+cannot rule an angle out.
 """
 
 import math
@@ -124,12 +128,18 @@ _PAIR_GRID_FLOOR = 2e-3
 _SCREEN_STEP = 0.28
 _SCREEN_PAD = 9.0
 _SCREEN_CUTOFF = 1e-16
-# Cost model, measured on a 2-vCPU x86 host: at 720 angles the screen takes
-# about 1 us per lattice node, nearly all in the per-angle sums, and the full
-# scan 0.1 to 0.5 ms per angle at 40 to 2000 points a class. At this many
-# nodes the screen takes about 140 ms against 70 ms or more for the scan;
-# larger lattices are not built.
+# Cost model, measured on a 2-vCPU x86 host: summed over every offset at
+# every one of 720 angles, the screen costs about 1 us per lattice node,
+# most of it in the per-angle sums, and the full scan 0.1 to 0.5 ms per angle
+# at 40 to 2000 points a class. At this many nodes that is about 140 ms
+# against 70 ms or more for the scan; larger lattices are not built. The
+# sums run over every offset only at the angles the scan refines, and over
+# the heavy offsets, weights above _SCREEN_HEAVY of the peak, at all angles.
+# On 2000+2000 two-gauss points those are 2634 of 6704 offsets: the sums
+# take 5.7 ms at 720 angles, against 19 ms over every offset, and 0.4 ms for
+# the 16 refined angles; smoothing and correlating the clouds take 13 ms.
 _SCREEN_MAX_NODES = 1 << 17
+_SCREEN_HEAVY = 1e-3
 # Elements per block of per-angle exponentials, and multiply-adds per matrix
 # product of lattice weights. OpenBLAS runs smaller products on one thread;
 # threaded ones of this size took 2 to 350 ms instead of 0.07 ms each on a
@@ -149,6 +159,11 @@ _SCREEN_MARGIN = 2.0
 # Farther pairs add at most e^-4.5 of a term each; at sigma 1e-3 on 20000
 # two-gauss points a class the bound is 0.93 to 0.945 of the potential.
 _LOWER_BOUND_BINS = 3
+# Its cheap tier (``_count_cip_bound``): count histograms of the unsorted
+# centers in bins of 1 / _COUNT_BINS pair kernel standard deviations, and bin
+# pairs at most _COUNT_REACH bins apart.
+_COUNT_BINS = 3
+_COUNT_REACH = 9
 
 # Binned grid densities: the first omitted Taylor term stays below this share
 # of a kernel's peak, with at most _GRID_MAX_TERMS terms; beyond that the grid
@@ -785,6 +800,44 @@ def _cip_lower_bound(f: Kde1d, g: Kde1d) -> float:
     return total / (a.size * b.size * math.sqrt(2.0 * math.pi * var_sum))
 
 
+def _count_cip_bound(f: Kde1d, g: Kde1d) -> float:
+    """A lower bound on ``cross_integral(f, g)`` in O(N) from the unsorted
+    centers, looser than ``_cip_lower_bound``.
+
+    Each density's centers are counted in bins w = s / _COUNT_BINS wide,
+    s^2 = sigma_f^2 + sigma_g^2, from the smallest center of both. Two
+    centers j bins apart are at most (|j| + 1) w apart, so their term is at
+    least exp(-(|j| + 1)^2 / (2 _COUNT_BINS^2)); bin pairs up to _COUNT_REACH
+    apart are summed, the others would only add. A bin coordinate is off by
+    a few units of rounding of the span, at most N bins, which moves the
+    bound by about 1e-11 relative, far inside the scan's slack. 0 where the
+    bins would outnumber the centers, which also keeps the bin indices small
+    near the bandwidth floor and the histograms no longer than the centers.
+    """
+    a, b = f.centers, g.centers
+    var_sum = f.bandwidth * f.bandwidth + g.bandwidth * g.bandwidth
+    width = math.sqrt(var_sum) / _COUNT_BINS
+    origin = min(float(a.min()), float(b.min()))
+    top = max(float(a.max()), float(b.max()))
+    span = (top - origin) / width
+    if not span < a.size + b.size:
+        return 0.0
+    # Rounding is monotone, so no center's bin passes the top's.
+    size = int(span) + 1
+
+    def counts(centers):
+        bins = centers - origin
+        bins /= width
+        return np.bincount(bins.astype(np.intp), minlength=size).astype(np.float64)
+
+    counts_a, counts_b = counts(a), counts(b)
+    total = math.exp(-0.5 / _COUNT_BINS**2) * float(np.dot(counts_a, counts_b))
+    for j in range(1, _COUNT_REACH + 1):
+        near = float(np.dot(counts_a[j:], counts_b[:-j]) + np.dot(counts_a[:-j], counts_b[j:]))
+        total += math.exp(-0.5 * ((j + 1) / _COUNT_BINS) ** 2) * near
+    return total / (a.size * b.size * math.sqrt(2.0 * math.pi * var_sum))
+
+
 def _closest_pair_bound(f: Kde1d, g: Kde1d) -> float:
     """A lower bound on ``cross_integral(f, g)``: the closest cross pair's
     term alone, exp(-d^2 / (2 s^2)) / (N_f N_g sqrt(2 pi s^2)), as every
@@ -798,10 +851,11 @@ def _closest_pair_bound(f: Kde1d, g: Kde1d) -> float:
 
 def _lattice_cip_screen(minus, plus, directions, bandwidth=None):
     """Estimates of the cross information potential of the projected classes
-    at every unit direction, with error bounds, from one lattice correlation;
-    None where the screen does not apply: a class of fewer than two points, a
-    projected Silverman spread near zero, a bandwidth ``Kde1d`` rejects, or
-    a lattice of more than _SCREEN_MAX_NODES nodes.
+    at every unit direction, with error bounds, from one lattice correlation,
+    and a cheaper lower bound at each; None where the screen does not apply:
+    a class of fewer than two points, a projected Silverman spread near
+    zero, a bandwidth ``Kde1d`` rejects, or a lattice of more than
+    _SCREEN_MAX_NODES nodes.
 
     ``minus`` and ``plus`` are (N, 2) point arrays, ``directions`` is
     (angles, 2), and ``bandwidth`` is one bandwidth for both classes or None
@@ -815,7 +869,7 @@ def _lattice_cip_screen(minus, plus, directions, bandwidth=None):
     C is the correlation of the two clouds smoothed by G_(tau / sqrt 2). They
     are sampled on one lattice of step h, correlated by FFT at the offsets of
     the sub-lattice of step 2h, and the integral is the sum over those
-    offsets. Returns (estimates, bounds), two arrays over the directions.
+    offsets. Returns a ``_CipScreen`` over the directions.
     """
     sizes = np.array([len(minus), len(plus)], dtype=np.float64)
     if sizes.min() < 2:
@@ -917,16 +971,9 @@ def _lattice_cip_screen(minus, plus, directions, bandwidth=None):
     coefficients = np.column_stack([cos * cos, 2.0 * cos * sin, sin * sin])
     coefficients *= (-0.5 / rest)[:, None]
     monomials = np.stack([z1 * z1, z1 * z2, z2 * z2])
-    sums = np.empty(len(directions))
-    chunk = max(1, _SCREEN_BLOCK // len(weights))
-    for k in range(0, len(directions), chunk):
-        t = coefficients[k : k + chunk] @ monomials
-        np.maximum(t, _EXP_FLOOR, out=t)
-        sums[k : k + chunk] = np.einsum("ij,j->i", np.exp(t, out=t), weights)
+    radius2 = float(np.max(monomials[0] + monomials[2]))
     # C = h^2 / (2 pi smooth^2)^2 corr, and each offset weighs (2h)^2.
     scale = (step * sub_step / (2.0 * math.pi * smooth * smooth)) ** 2 / sizes.prod()
-    ridge_peak = 1.0 / np.sqrt(2.0 * math.pi * rest)
-    estimates = scale * ridge_peak * sums
 
     # Relative error. Aliasing of the lattice correlation: images at 2 pi / h
     # damped by a smoothed pair's variance tau^2 / 4. Aliasing of the offset
@@ -936,13 +983,6 @@ def _lattice_cip_screen(minus, plus, directions, bandwidth=None):
     # the exponents from |z|^2 / (2 q) where z is near normal to v.
     decay = (math.pi / step) ** 2 * tau2 / 2.0
     alias = 4.0 * math.exp(-decay) + 4.0 * np.exp(-decay * rest / var_sum)
-    kernel_mean = np.clip(estimates * np.sqrt(2.0 * math.pi * var_sum), 1e-300, 1.0)
-    radius2 = float(np.max(z1 * z1 + z2 * z2))
-    relative = (
-        alias
-        + var_error * (1.0 - np.log(kernel_mean))
-        + _SCREEN_EPS * (1.0 + radius2 / rest)
-    )
     # Absolute error per offset, in units of corr: the cutoff; the FFT's
     # rounding; and the two cuts of the smoothed kernels (the lattice's edge
     # and `reach`), each dropping at most exp(-_SCREEN_PAD^2 / 2) of a pair's
@@ -955,6 +995,84 @@ def _lattice_cip_screen(minus, plus, directions, bandwidth=None):
         + 4.0 * math.pi * (smooth / step) ** 2 * sizes.prod() * math.exp(-0.5 * _SCREEN_PAD**2)
     )
     span = max(size) * sub_step
+    ridge_peak = 1.0 / np.sqrt(2.0 * math.pi * rest)
     floor = cell * (span + sub_step) * (math.sqrt(2.0) + sub_step * ridge_peak) / sub_step**2
-    bounds = _SCREEN_MARGIN * (relative * estimates + scale * floor)
-    return estimates, bounds
+    return _CipScreen(
+        coefficients,
+        monomials,
+        weights,
+        weights > _SCREEN_HEAVY * peak,
+        scale * ridge_peak,
+        np.sqrt(2.0 * math.pi * var_sum),
+        alias,
+        np.broadcast_to(var_error, var_sum.shape),
+        _SCREEN_EPS * (1.0 + radius2 / rest),
+        scale * floor,
+    )
+
+
+class _CipScreen:
+    """The lattice screen's ridge sums for a set of directions
+    (``_lattice_cip_screen``), in two tiers.
+
+    ``cheap`` holds a lower bound on every direction's potential: the ridge
+    sum over the heavy offsets only, whose weights exceed _SCREEN_HEAVY of
+    the peak, minus the error bound taken at that partial estimate. Every
+    weight is positive, so the partial estimate x is at most the full one,
+    and x - M (rel(x) x + F) increases in x wherever M rel(x) < 1 (rel
+    falls as x grows, by var_error at most per unit of ln x); elsewhere it
+    is negative. So the cheap bound is at most the tight one. ``tight(ks)``
+    gives the estimates over every offset and their bounds at directions
+    ``ks``, the screen's full answer there.
+    """
+
+    def __init__(
+        self,
+        coefficients,
+        monomials,
+        weights,
+        heavy,
+        peaks,
+        kernel_norms,
+        alias,
+        var_error,
+        rounding,
+        floor,
+    ):
+        self._coefficients = coefficients
+        self._monomials = monomials
+        self._weights = weights
+        self._peaks = peaks  # estimate per unit ridge sum
+        self._kernel_norms = kernel_norms  # sqrt(2 pi s^2): CIP to kernel mean
+        # The relative error terms, and the absolute one of the estimates.
+        self._alias, self._var_error, self._rounding = alias, var_error, rounding
+        self._floor = floor
+        everything = np.arange(len(coefficients))
+        heavy_monomials = np.ascontiguousarray(monomials[:, heavy])
+        estimates = self._estimates(everything, heavy_monomials, weights[heavy])
+        lower = estimates - self._bounds(everything, estimates)
+        self.cheap = np.maximum(lower, 0.0, out=lower)
+
+    def _estimates(self, ks, monomials, weights):
+        sums = np.empty(len(ks))
+        chunk = max(1, _SCREEN_BLOCK // len(weights))
+        for k in range(0, len(ks), chunk):
+            t = self._coefficients[ks[k : k + chunk]] @ monomials
+            np.maximum(t, _EXP_FLOOR, out=t)
+            sums[k : k + chunk] = np.einsum("ij,j->i", np.exp(t, out=t), weights)
+        return self._peaks[ks] * sums
+
+    def _bounds(self, ks, estimates):
+        kernel_mean = np.clip(estimates * self._kernel_norms[ks], 1e-300, 1.0)
+        relative = (
+            self._alias[ks]
+            + self._var_error[ks] * (1.0 - np.log(kernel_mean))
+            + self._rounding[ks]
+        )
+        return _SCREEN_MARGIN * (relative * estimates + self._floor[ks])
+
+    def tight(self, ks):
+        """(estimates, bounds) at the directions ``ks``, over every offset."""
+        ks = np.asarray(ks, dtype=np.intp)
+        estimates = self._estimates(ks, self._monomials, self._weights)
+        return estimates, self._bounds(ks, estimates)

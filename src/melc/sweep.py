@@ -9,6 +9,7 @@ balanced Bayes risk. ``bound_sweep`` checks the entropy bound per angle.
 the Silverman rule per class and per angle.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -16,7 +17,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from .geometry import LabeledDataset, UnitDirection, cosine_alignment, project
-from .kde import _cip_lower_bound, _closest_pair_bound, _lattice_cip_screen
+from .kde import (
+    _cip_lower_bound,
+    _closest_pair_bound,
+    _count_cip_bound,
+    _lattice_cip_screen,
+)
 from .objectives import (
     best_bias_hinge,
     cip,
@@ -64,6 +70,12 @@ SEPARABLE_TOL = 1e-9
 # pair sum's error of 1e-12 and the direct sum's truncation, both relative to
 # the potential, and the rounding of the bounds themselves.
 _BOUND_SLACK = 1e-9
+
+# Angles whose screen estimate over every offset is computed at once. One
+# angle a call made the scan on four-line at sigma 0.02 (500 points a
+# component, 360 angles, 256 refined) take 124 ms against 110 ms (medians of
+# 30 alternating runs, 2-vCPU x86 host).
+_REFINE_BATCH = 16
 
 # Bandwidths of buffer on each side of the centers before the bound check's
 # rescale to [0, 1].
@@ -186,15 +198,19 @@ def melc_direction(
 
     The angle is the first-index argmin of ``cip`` over the grid, as a scan
     of every angle would return it, found best first (``_best_first``) from
-    a lower bound per angle. The bounds come from the all-angle lattice
-    screen (``kde._lattice_cip_screen``, estimate minus error bound) where
-    it applies and every closed-form value lands within its estimate's
-    bound; otherwise from the binned Jensen bound (``kde._cip_lower_bound``)
-    of each angle's projections, computed in angle order, so a degenerate
-    projection raises where the scan would. A bound of at most 0, as where
-    a potential is below the screen's absolute error or no bins of the two
-    classes lie within reach, is raised to the closest cross pair's term
-    (``kde._closest_pair_bound``).
+    two tiers of lower bounds: a cheap one at every angle, and a tight one
+    only at the angles the cheap one cannot rule out. Where the all-angle
+    lattice screen applies (``kde._lattice_cip_screen``) and every
+    closed-form value lands within its estimate's bound, the cheap tier is
+    its ridge sum over the heavy offsets and the tight one its full
+    estimate minus error bound, computed for up to _REFINE_BATCH angles at
+    a time. Otherwise every angle's pair is built in angle order, so a
+    degenerate projection raises where the scan would, and bounded by
+    counts in bins (``kde._count_cip_bound``); the tight tier rebuilds the
+    pair for the binned Jensen bound (``kde._cip_lower_bound``). A tight
+    bound of at most 0, as where a potential is below the screen's absolute
+    error or no bins of the two classes lie within reach, is raised to the
+    closest cross pair's term (``kde._closest_pair_bound``).
     """
     if data.dim != 2:
         raise ValueError("direction scan requires a 2-D dataset")
@@ -225,40 +241,72 @@ def melc_direction(
 
     screen = _lattice_cip_screen(*data.class_points(), directions, bandwidth_override)
     if screen is not None:
-        estimates, bounds = screen
-        best = _best_first(
-            [raised(bound, k) for k, bound in enumerate(estimates - bounds)],
-            potential,
-            lambda k, value: abs(value - estimates[k]) <= bounds[k],
-        )
+        tight = {}
+
+        def refine_screened(ks):
+            estimates, bounds = screen.tight(ks)
+            tight.update(zip(ks, zip(estimates.tolist(), bounds.tolist())))
+            return [raised(tight[k][0] - tight[k][1], k) for k in ks]
+
+        def within(k, value):
+            estimate, bound = tight[k]
+            return abs(value - estimate) <= bound
+
+        best = _best_first(screen.cheap, refine_screened, potential, within, _REFINE_BATCH)
         if best is not None:
             return entry(best)
-    lower = [
-        raised(_cip_lower_bound(p.f_minus, p.f_plus), k, p)
-        for k, p in enumerate(map(pair, range(n)))
-    ]
-    return entry(_best_first(lower, potential))
+
+    def counted(k):
+        p = pair(k)
+        return _count_cip_bound(p.f_minus, p.f_plus)
+
+    def refine(ks):
+        pairs = map(pair, ks)
+        return [raised(_cip_lower_bound(p.f_minus, p.f_plus), k, p) for k, p in zip(ks, pairs)]
+
+    return entry(_best_first([counted(k) for k in range(n)], refine, potential))
 
 
-def _best_first(lower, potential, within=None):
-    """The first index of the smallest ``potential(k)``, given lower bounds
-    ``lower[k]`` on every value up to _BOUND_SLACK.
+def _best_first(cheap, refine, potential, within=None, batch=1):
+    """The first index of the smallest ``potential(k)``, given cheap lower
+    bounds ``cheap[k]`` on every value and tighter ones from ``refine(ks)``,
+    a list of bounds for the indices ``ks``, all valid up to _BOUND_SLACK.
 
-    Indices are evaluated in ascending order of (bound, index) until the
-    next bound exceeds the best value times 1 + _BOUND_SLACK, or the best
-    value is 0: a potential is never negative, and a later index with a
-    bound of 0 loses the tie. None as soon as ``within(k, value)`` fails.
+    Entries are popped in ascending order of (bound, index), each index
+    first with its cheap bound. Popping a cheap entry refines it, together
+    with up to ``batch`` - 1 more cheap entries at the front, and pushes
+    each back with the larger of its two bounds; popping a refined entry
+    evaluates ``potential``. This stops when the next bound exceeds the
+    best value times 1 + _BOUND_SLACK, or the best value is 0: a potential
+    is never negative, and a later index with a bound of 0 loses the tie.
+    So an index is left out only when a valid bound rules it out, and the
+    evaluations come in the order of their final bounds. None as soon as
+    ``within(k, value)`` fails.
     """
-    lower = np.maximum(lower, 0.0)
+    heap = [(bound, k, False) for k, bound in enumerate(np.fmax(cheap, 0.0).tolist())]
+    heapq.heapify(heap)
     best, best_k = math.inf, None
-    for k in np.argsort(lower, kind="stable"):
-        if best == 0.0 or lower[k] > best * (1.0 + _BOUND_SLACK):
-            break
+
+    def front():
+        # The front entry, or None where the stop rule ends the scan.
+        if heap and best != 0.0 and heap[0][0] <= best * (1.0 + _BOUND_SLACK):
+            return heap[0]
+        return None
+
+    while (top := front()) is not None:
+        if not top[2]:
+            popped = [heapq.heappop(heap)]
+            while len(popped) < batch and (top := front()) is not None and not top[2]:
+                popped.append(heapq.heappop(heap))
+            for (bound, k, _), tight in zip(popped, refine([k for _, k, _ in popped])):
+                heapq.heappush(heap, (tight if tight > bound else bound, k, True))
+            continue
+        _, k, _ = heapq.heappop(heap)
         value = potential(k)
         if within is not None and not within(k, value):
             return None
         if value < best or (value == best and k < best_k):
-            best, best_k = value, int(k)
+            best, best_k = value, k
     return best_k
 
 

@@ -359,6 +359,35 @@ class TestSilvermanRegression:
         assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
 
 
+class TestRerunsIdentical:
+    """Every output command run twice in one process to the same path gives
+    byte-identical CSV, sidecar and stdout, at Silverman bandwidths (the
+    lattice screen) and at sigma 1e-3 (the binned bounds)."""
+
+    @pytest.mark.parametrize("sigma", [None, "1e-3"])
+    @pytest.mark.parametrize("command", ["sweep", "table", "bound-check", "classify"])
+    def test_same_bytes(self, tmp_path, two_gauss_csv, capsys, command, sigma):
+        out = tmp_path / "out.csv"
+        if command == "classify":
+            inputs = ["--train", two_gauss_csv, "--test", two_gauss_csv]
+        else:
+            inputs = ["--data", two_gauss_csv]
+        argv = [command, *inputs, "--out", out, "--angles", 36]
+        runs = []
+        for _ in range(2):
+            capsys.readouterr()
+            assert run(argv + (["--sigma", sigma] if sigma else [])) == 0
+            sidecar = out.with_suffix(".json")
+            runs.append(
+                (
+                    out.read_bytes(),
+                    sidecar.read_bytes() if sidecar.exists() else None,
+                    capsys.readouterr(),
+                )
+            )
+        assert runs[0] == runs[1]
+
+
 class TestErrorPaths:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         out = tmp_path / "s.csv"

@@ -573,6 +573,45 @@ class TestCipLowerBound:
         assert kde._cip_lower_bound(f, g) >= 0.8 * cross_integral(f, g)
 
 
+class TestCountCipBound:
+    """``_count_cip_bound``, the cheap tier of the direction scan's bounds
+    where the lattice screen does not apply."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lower_bound_inputs())
+    def test_at_most_the_potential(self, pair):
+        f, g = pair
+        bound = kde._count_cip_bound(f, g)
+        assert 0.0 <= bound <= cross_integral(f, g) * (1.0 + sweep_module._BOUND_SLACK)
+        assert kde._count_cip_bound(g, f) == bound
+
+    def test_single_bin(self):
+        # Centers within one bin are at most one bin, s / 3, apart.
+        f, g = Kde1d([0.3], 1e-5), Kde1d([0.3], 2e-5)
+        bound = kde._count_cip_bound(f, g)
+        assert bound == pytest.approx(math.exp(-1.0 / 18.0) * cross_integral(f, g), rel=1e-12)
+
+    def test_zero_where_the_bins_outnumber_the_centers(self):
+        f = Kde1d(np.linspace(0.0, 1.0, 50), 1e-3)
+        g = Kde1d(np.linspace(0.5, 1.5, 50), 1e-3)
+        assert kde._count_cip_bound(f, g) == 0.0
+        assert kde._count_cip_bound(Kde1d(f.centers, 1.5e-154), Kde1d(g.centers, 1.5e-154)) == 0.0
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.integers(15000, 20000),
+        st.integers(15000, 20000),
+        st.floats(0.0, 3.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_tight_on_well_sampled_gaussians(self, n_f, n_g, distance, seed):
+        # About 0.74 of the potential at narrow-sigma's size and bandwidth.
+        rng = np.random.default_rng(seed)
+        f = Kde1d(rng.normal(size=n_f), 1e-3)
+        g = Kde1d(rng.normal(loc=distance, size=n_g), 1e-3)
+        assert kde._count_cip_bound(f, g) >= 0.7 * cross_integral(f, g)
+
+
 def _exact_density(f, grid):
     """The untruncated sum in extended precision, the binned density's
     reference."""

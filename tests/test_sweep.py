@@ -289,9 +289,10 @@ class TestScreenedDirection:
         screen = kde._lattice_cip_screen(*data.class_points(), directions, sigma)
         if screen is None:  # a zero projected spread, or a lattice too fine
             return
-        estimates, bounds = screen
-        errors = np.abs(estimates - np.array(scan_values(data, n, sigma)))
-        assert np.all(errors <= bounds)
+        values = np.array(scan_values(data, n, sigma))
+        assert np.all(screen.cheap <= values)
+        estimates, bounds = screen.tight(range(n))
+        assert np.all(np.abs(estimates - values) <= bounds)
 
     def test_recheck_evaluates_few_angles(self, rng, monkeypatch):
         data = gaussian_clouds(rng, (0, 0), (2, 1), 0.8, 300)
@@ -305,21 +306,18 @@ class TestScreenedDirection:
     def test_failed_recheck_scans_every_angle(self, rng, monkeypatch, sigma):
         data = gaussian_clouds(rng, (0, 0), (2, 1), 0.8, 300)
         expected = melc_direction(data, 180, bandwidth_override=sigma)
-        bounded = []
-
-        def lower_bound(f, g):
-            bounded.append((f.centers, g.centers))
-            return kde._cip_lower_bound(f, g)
-
-        monkeypatch.setattr(sweep_module, "_cip_lower_bound", lower_bound)
+        counted = record(monkeypatch, sweep_module, "_count_cip_bound")
+        bounded = record(monkeypatch, sweep_module, "_cip_lower_bound")
         monkeypatch.setattr(kde, "_SCREEN_MARGIN", 0.0)  # bounds below every error
         angle, direction = melc_direction(data, 180, bandwidth_override=sigma)
-        # The scan falls back to a binned bound of every angle, in angle order.
-        assert len(bounded) == 180
-        for (minus, plus), (_, grid_direction) in zip(bounded, angle_grid(180)):
+        # The scan falls back to a pair of every angle, in angle order, and
+        # takes the binned Jensen bound only where the counts leave it open.
+        assert len(counted) == 180
+        for (f, g), (_, grid_direction) in zip(counted, angle_grid(180)):
             expected_minus, expected_plus = project(data, grid_direction)
-            np.testing.assert_array_equal(minus, expected_minus)
-            np.testing.assert_array_equal(plus, expected_plus)
+            np.testing.assert_array_equal(f.centers, expected_minus)
+            np.testing.assert_array_equal(g.centers, expected_plus)
+        assert 1 <= len(bounded) < 180
         assert angle == expected[0]
         np.testing.assert_array_equal(direction.components, expected[1].components)
 
@@ -382,6 +380,14 @@ class TestScreenedDirection:
         assert traced_peak(lambda: melc_direction(data, 720)) <= one_angle + 1_000_000
         monkeypatch.setattr(kde, "_SCREEN_MAX_NODES", 0)  # the binned bounds
         assert traced_peak(lambda: melc_direction(data, 720)) <= one_angle + 1_000_000
+
+
+def record(monkeypatch, module, name):
+    """Replace ``module.name`` with a stand-in that records its arguments."""
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
 
 
 def traced_peak(run):
@@ -474,6 +480,166 @@ class TestBinnedBoundDirection:
         )
         peak = traced_peak(lambda: melc_direction(data, 360, bandwidth_override=sigma))
         assert peak <= one_angle + 1_000_000
+
+
+def tight_bounds(data, n, sigma):
+    """Every angle's tight lower bound, as ``melc_direction`` refines it: the
+    screen's estimate minus bound where the screen applies, else the binned
+    Jensen bound, each raised to the closest pair's term where at most 0."""
+    directions = np.array([direction.components for _, direction in angle_grid(n)])
+    screen = kde._lattice_cip_screen(*data.class_points(), directions, sigma)
+    pairs = [
+        projected_pair(*project(data, direction), sigma, sigma) for _, direction in angle_grid(n)
+    ]
+    if screen is None:
+        lower = [kde._cip_lower_bound(p.f_minus, p.f_plus) for p in pairs]
+    else:
+        estimates, bounds = screen.tight(range(n))
+        lower = estimates - bounds
+    return [
+        bound if bound > 0.0 else kde._closest_pair_bound(p.f_minus, p.f_plus)
+        for bound, p in zip(lower, pairs)
+    ]
+
+
+def every_angle_bound_scan(lower, values):
+    """(first argmin, evaluations) of a best-first scan from a tight bound
+    at every angle, in ascending order of (bound, index)."""
+    best, best_k, evaluated = math.inf, None, 0
+    for k in np.argsort(np.maximum(lower, 0.0), kind="stable"):
+        if best == 0.0 or max(lower[k], 0.0) > best * (1.0 + sweep_module._BOUND_SLACK):
+            break
+        evaluated += 1
+        if values[k] < best or (values[k] == best and k < best_k):
+            best, best_k = values[k], int(k)
+    return best_k, evaluated
+
+
+class TwoTierRecord:
+    """Recording stand-ins for both tight tiers and for ``cip``."""
+
+    def __init__(self, monkeypatch):
+        self.refined = []  # the screen's, as angle indices
+        self.jensen = record(monkeypatch, sweep_module, "_cip_lower_bound")
+        self.evaluated = []  # (pair, value)
+
+        def evaluate(pair):
+            self.evaluated.append((pair, cip(pair)))
+            return self.evaluated[-1][1]
+
+        monkeypatch.setattr(sweep_module, "cip", evaluate)
+        tight = kde._CipScreen.tight
+
+        def recording(screen, ks):
+            self.refined.extend(int(k) for k in ks)
+            return tight(screen, ks)
+
+        monkeypatch.setattr(kde._CipScreen, "tight", recording)
+
+    @staticmethod
+    def angles(data, n, minus_projections):
+        """The grid index of each minus-class projection."""
+        index = {
+            hash(project(data, direction)[0].tobytes()): k
+            for k, (_, direction) in enumerate(angle_grid(n))
+        }
+        return [index[hash(minus.tobytes())] for minus in minus_projections]
+
+    def evaluated_angles(self, data, n):
+        return self.angles(data, n, [p.f_minus.centers for p, _ in self.evaluated])
+
+
+class TestTwoTierBounds:
+    """``melc_direction`` takes a cheap bound at every angle and a tight one
+    only at the angles it pops: it must refine and evaluate few angles, each
+    at most once, and return the full scan's first-index argmin."""
+
+    def test_screen_refines_at_most_two_batches(self, monkeypatch):
+        data = generate(DatasetSpec("two-gauss", 3, 2000))
+        values = scan_values(data, 720, None)
+        calls = TwoTierRecord(monkeypatch)
+        angle, direction = melc_direction(data, 720)
+        assert 1 <= len(calls.refined) <= 32
+        assert len(set(calls.refined)) == len(calls.refined)
+        assert calls.jensen == []
+        best = int(np.argmin(values))
+        assert angle == angle_grid(720)[best][0]
+        np.testing.assert_array_equal(direction.components, angle_grid(720)[best][1].components)
+
+    def test_jensen_bounds_fewer_than_half_the_angles(self, monkeypatch):
+        rng = np.random.default_rng(600_001)
+        data = gaussian_clouds(rng, (0, 0), (2, 2), 1.0, 20000)
+        calls = TwoTierRecord(monkeypatch)
+        angle, _ = melc_direction(data, 360, bandwidth_override=1e-3)
+        assert calls.refined == []
+        assert 1 <= len(calls.jensen) < 180
+        refined = calls.angles(data, 360, [f.centers for f, _ in calls.jensen])
+        assert len(set(refined)) == len(refined)
+        evaluated = calls.evaluated_angles(data, 360)
+        assert len(set(evaluated)) == len(evaluated)
+        assert set(evaluated) <= set(refined)
+        best = int(np.argmin([value for _, value in calls.evaluated]))
+        assert angle == angle_grid(360)[evaluated[best]][0]
+
+    @pytest.mark.parametrize(
+        "case, sigma, screened",
+        [
+            ("gauss", None, True),
+            ("gauss", 1e-3, False),
+            ("four-line", 0.02, True),
+            ("four-line", 1e-3, False),
+            ("mirrored", None, True),
+            ("mirrored", None, False),
+            ("duplicated", 0.3, True),
+            ("duplicated", 1e-3, False),
+        ],
+    )
+    @pytest.mark.parametrize("zero_cheap", [False, True])
+    def test_matches_an_every_angle_bound_scan(self, monkeypatch, case, sigma, screened, zero_cheap):
+        rng = np.random.default_rng(600_002)
+        if case == "gauss":
+            data = gaussian_clouds(rng, (0, 0), (2, 1), 0.8, 300)
+        elif case == "four-line":
+            data = generate(DatasetSpec("four-line", 7, 100))
+        else:
+            # Angles 2 and 10 of 12 tie bit for bit at the minimum, also
+            # with every point three times over.
+            data = mirrored_classes(22, 1.0 if sigma != 1e-3 else 0.02)
+            if case == "duplicated":
+                data = LabeledDataset.from_arrays(np.tile(data.points, (3, 1)), np.tile(data.labels, 3))
+        n = 90 if case in ("gauss", "four-line") else 12
+        if not screened:
+            monkeypatch.setattr(kde, "_SCREEN_MAX_NODES", 0)
+        values = scan_values(data, n, sigma)
+        if n == 12:
+            assert values[2] == values[10] == min(values)
+        expected, every_angle_calls = every_angle_bound_scan(tight_bounds(data, n, sigma), values)
+        assert expected == int(np.argmin(values))
+        if zero_cheap:
+            monkeypatch.setattr(sweep_module, "_count_cip_bound", lambda f, g: 0.0)
+            screen = kde._lattice_cip_screen
+
+            def zeroed(*args):
+                out = screen(*args)
+                if out is not None:
+                    out.cheap = np.zeros_like(out.cheap)
+                return out
+
+            monkeypatch.setattr(sweep_module, "_lattice_cip_screen", zeroed)
+        calls = TwoTierRecord(monkeypatch)
+        angle, direction = melc_direction(data, n, bandwidth_override=sigma)
+        assert angle == angle_grid(n)[expected][0]
+        np.testing.assert_array_equal(direction.components, angle_grid(n)[expected][1].components)
+        if screened:
+            assert calls.jensen == []
+            refined = calls.refined
+        else:
+            assert calls.refined == []
+            refined = calls.angles(data, n, [f.centers for f, _ in calls.jensen])
+        assert len(set(refined)) == len(refined)
+        evaluated = calls.evaluated_angles(data, n)
+        assert len(set(evaluated)) == len(evaluated)
+        assert 1 <= len(evaluated) <= every_angle_calls
 
 
 class TestBoundSweep:
