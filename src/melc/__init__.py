@@ -2,10 +2,10 @@
 
 Builds one-dimensional Gaussian-mixture densities of class projections,
 scores directions by information-theoretic objectives (cross information
-potential, quadratic Renyi entropies, Cauchy-Schwarz divergence) next to a
-hinge baseline, extracts multithreshold decision rules, estimates the
-class-balanced Bayes risk by quadrature, and sweeps all 2-D directions to
-compare the optima.
+potential, quadratic Renyi entropies) next to a hinge baseline, extracts
+multithreshold decision rules, estimates the class-balanced Bayes risk by
+quadrature, sweeps all 2-D directions to compare the optima, and trains the
+model on the direction of largest cross entropy.
 """
 
 from .geometry import (
@@ -23,12 +23,9 @@ from .kde import (
     silverman_bandwidth,
 )
 from .objectives import (
-    GaussianSpec,
     ProjectedPair,
     best_bias_hinge,
-    cauchy_schwarz_divergence,
     cip,
-    gaussian_cip_closed_form,
     projected_pair,
     renyi_cross_entropy,
     renyi_entropy,
@@ -37,12 +34,10 @@ from .objectives import (
 from .risk import (
     BoundCheck,
     MultithresholdModel,
-    RiskEstimate,
     best_single_threshold_error,
     bound_check,
     build_multithreshold_model,
     classify,
-    eaa_bayes_risk_for_direction,
     empirical_balanced_error,
     overlap_integral,
 )
@@ -50,9 +45,11 @@ from .sweep import (
     ComparisonRow,
     SweepRecord,
     angle_grid,
+    bound_summary,
     bound_sweep,
     compare,
     melc_direction,
+    train,
     relative_error,
     select_best,
     sweep,
@@ -64,7 +61,6 @@ from .datasets import (
     load_libsvm,
     pca_top2,
     save_csv,
-    save_libsvm,
 )
 
 __version__ = "0.1.0"

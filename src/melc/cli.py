@@ -21,29 +21,28 @@ from .datasets import (
     GENERATOR_NAME,
     GENERATOR_VERSION,
     DatasetSpec,
+    _as_2d,
+    _as_2d_pair,
     generate,
     load_csv,
     load_libsvm,
-    pca_top2,
     save_csv,
 )
-from .geometry import LabeledDataset, project
-from .objectives import projected_pair
 from .risk import (
     _MIN_GRID_POINTS,
     DEFAULT_GRID_POINTS,
-    build_multithreshold_model,
     classify,
     empirical_balanced_error,
 )
 from .sweep import (
     DEFAULT_TAIL_K,
     SWEEP_FIELDS,
+    bound_summary,
     bound_sweep,
     compare,
-    melc_direction,
     select_best,
     sweep,
+    train,
 )
 
 DEFAULT_ANGLES = 360
@@ -82,17 +81,6 @@ def _load_dataset(path):
     return load_csv(path)
 
 
-def _as_2d(data, config):
-    if data.dim == 2:
-        return data
-    if config.pca2:
-        embedded, _ = pca_top2(data)
-        return embedded
-    raise ValueError(
-        f"dataset has dimension {data.dim}; pass --pca2 to embed it first"
-    )
-
-
 def _sidecar_path(out_path: str) -> str:
     root, ext = os.path.splitext(out_path)
     return (root if ext else out_path) + ".json"
@@ -118,7 +106,7 @@ def cmd_datagen(config: RunConfig) -> int:
 
 
 def cmd_sweep(config: RunConfig) -> int:
-    data = _as_2d(_load_dataset(config.inputs[0]), config)
+    data = _as_2d(_load_dataset(config.inputs[0]), config.pca2)
     records = sweep(
         data,
         config.angles,
@@ -174,7 +162,7 @@ def _config_metadata(config: RunConfig) -> dict:
 def cmd_table(config: RunConfig) -> int:
     rows = []
     for path in config.inputs:
-        data = _as_2d(_load_dataset(path), config)
+        data = _as_2d(_load_dataset(path), config.pca2)
         rows.append(
             compare(
                 data,
@@ -204,7 +192,7 @@ def cmd_table(config: RunConfig) -> int:
 
 
 def cmd_bound_check(config: RunConfig) -> int:
-    data = _as_2d(_load_dataset(config.inputs[0]), config)
+    data = _as_2d(_load_dataset(config.inputs[0]), config.pca2)
     results = bound_sweep(
         data,
         config.angles,
@@ -214,86 +202,43 @@ def cmd_bound_check(config: RunConfig) -> int:
     )
 
     lines = ["angle_rad,lhs,rhs,slack,holds,separable"]
-    min_slack = math.inf
-    min_slack_angle = None
-    violations = 0
-    separable_count = 0
     for angle, result in results:
-        both_finite = math.isfinite(result.lhs) and math.isfinite(result.rhs)
-        slack = result.lhs - result.rhs if both_finite else math.inf
-        lines.append(
-            ",".join(
-                [
-                    _fmt(angle),
-                    _fmt(result.lhs),
-                    _fmt(result.rhs),
-                    _fmt(slack),
-                    str(result.holds).lower(),
-                    str(result.separable).lower(),
-                ]
-            )
-        )
-        if result.separable:
-            separable_count += 1
-        else:
-            if slack < min_slack:
-                min_slack = slack
-                min_slack_angle = angle
-        if not result.holds:
-            violations += 1
+        row = [_fmt(value) for value in (angle, result.lhs, result.rhs, result.slack)]
+        row += [str(result.holds).lower(), str(result.separable).lower()]
+        lines.append(",".join(row))
     if config.output:
         with open(config.output, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
     else:
         print("\n".join(lines))
-    summary = {
-        "config": _config_metadata(config),
-        "angles": config.angles,
-        "violations": violations,
-        "separable_angles": separable_count,
-        "min_slack": None if min_slack_angle is None else min_slack,
-        "min_slack_angle_rad": min_slack_angle,
-    }
+    summary = {"config": _config_metadata(config), "angles": config.angles}
+    summary |= bound_summary(results)
     print(json.dumps(summary))
-    return 1 if violations else 0
+    return 1 if summary["violations"] else 0
 
 
 def cmd_classify(config: RunConfig) -> int:
-    train = _load_dataset(config.train)
-    test = _load_dataset(config.test)
-    if train.dim != 2:
-        if not config.pca2:
-            raise ValueError(
-                f"training set has dimension {train.dim}; pass --pca2 to embed it first"
-            )
-        # Embed the test set with the training embedding, not its own.
-        mean = train.points.mean(axis=0)
-        train, components = pca_top2(train)
-        test = LabeledDataset.from_arrays(
-            (test.points - mean) @ components.T, test.labels
-        )
-    elif test.dim != 2:
-        raise ValueError("test set dimension does not match the 2-D training set")
-    angle, direction = melc_direction(
-        train, config.angles, bandwidth_override=config.bandwidth_override
+    train_set, test = _as_2d_pair(
+        _load_dataset(config.train), _load_dataset(config.test), config.pca2
     )
-    minus, plus = project(train, direction)
-    sigma = config.bandwidth_override
-    pair = projected_pair(minus, plus, sigma, sigma)
-    model = build_multithreshold_model(pair, direction, config.grid_points)
+    angle, model, bandwidths = train(
+        train_set, config.angles, config.bandwidth_override, config.grid_points
+    )
     predictions = classify(model, test.points)
-    with open(config.output, "w", encoding="utf-8") as handle:
-        handle.write("prediction\n" + "".join(np.where(predictions > 0, "+1\n", "-1\n").tolist()))
+    # Everything is computed before the first file is written, so a run that
+    # fails leaves no output behind.
     summary = {
         "config": _config_metadata(config),
         "angle_rad": angle,
-        "direction": [float(c) for c in direction.components],
+        "direction": [float(c) for c in model.direction.components],
         "thresholds": [float(t) for t in model.thresholds],
         "leftmost_sign": model.leftmost_sign,
-        "bandwidths": [pair.f_minus.bandwidth, pair.f_plus.bandwidth],
+        "bandwidths": list(bandwidths),
         "balanced_error": empirical_balanced_error(model, test),
         "n_test": test.n_points,
     }
+    with open(config.output, "w", encoding="utf-8") as handle:
+        handle.write("prediction\n" + "".join(np.where(predictions > 0, "+1\n", "-1\n").tolist()))
     with open(_sidecar_path(config.output), "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2)
         handle.write("\n")

@@ -18,7 +18,6 @@ __all__ = [
     "DatasetSpec",
     "generate",
     "load_libsvm",
-    "save_libsvm",
     "load_csv",
     "save_csv",
     "pca_top2",
@@ -128,19 +127,6 @@ def load_libsvm(path) -> LabeledDataset:
         for index, value in entries:
             points[i, index - 1] = value
     return LabeledDataset.from_arrays(points, labels)
-
-
-def save_libsvm(data: LabeledDataset, path):
-    """Write the sparse text format read back by ``load_libsvm``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for point, label in zip(data.points, data.labels):
-            parts = [f"{label:+d}"]
-            parts += [
-                f"{j + 1}:{float(value)!r}"
-                for j, value in enumerate(point)
-                if value != 0.0
-            ]
-            handle.write(" ".join(parts) + "\n")
 
 
 # One cell of a CSV line under the csv module's default dialect: a quoted
@@ -258,3 +244,36 @@ def pca_top2(data: LabeledDataset) -> tuple[LabeledDataset, np.ndarray]:
     components *= np.where(lead < 0, -1.0, 1.0)[:, None]
     coords = centered @ components.T
     return LabeledDataset.from_arrays(coords, data.labels), components
+
+
+def _as_2d(data: LabeledDataset, pca2: bool) -> LabeledDataset:
+    """The dataset itself when it is 2-D, else under ``pca2`` its
+    ``pca_top2`` embedding."""
+    if data.dim == 2:
+        return data
+    if pca2:
+        return pca_top2(data)[0]
+    raise ValueError(f"dataset has dimension {data.dim}; pass --pca2 to embed it first")
+
+
+def _as_2d_pair(
+    train: LabeledDataset, test: LabeledDataset, pca2: bool
+) -> tuple[LabeledDataset, LabeledDataset]:
+    """A training and a test set of one dimension in 2-D. A training set
+    that is not 2-D is embedded under ``pca2`` by ``pca_top2``, and the test
+    set with the training set's mean and components, not its own."""
+    if train.dim != 2 and not pca2:
+        raise ValueError(
+            f"training set has dimension {train.dim}; pass --pca2 to embed it first"
+        )
+    if test.dim != train.dim:
+        raise ValueError(
+            f"test set dimension does not match the {train.dim}-D training set"
+        )
+    if train.dim == 2:
+        return train, test
+    mean = train.points.mean(axis=0)
+    embedded, components = pca_top2(train)
+    return embedded, LabeledDataset.from_arrays(
+        (test.points - mean) @ components.T, test.labels
+    )

@@ -1,8 +1,7 @@
 """Scalar objectives evaluated per projection direction.
 
 Covers the cross information potential, the quadratic Renyi entropies built
-from it, the Cauchy-Schwarz divergence, a closed-form potential for radial
-Gaussian classes, and the hinge-loss baseline with exact optimal bias.
+from it, and the hinge-loss baseline with exact optimal bias.
 
 A ``ProjectedPair`` keeps its pair grid (``kde._PairGrid``): ``cip`` takes
 both class densities' binned values there, each evaluated at most once per
@@ -17,7 +16,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import UnitDirection
 from .kde import (
     Kde1d,
     _cross_integral,
@@ -28,14 +26,11 @@ from .kde import (
 
 __all__ = [
     "ProjectedPair",
-    "GaussianSpec",
     "projected_pair",
     "rescaled_pair",
     "cip",
     "renyi_cross_entropy",
     "renyi_entropy",
-    "cauchy_schwarz_divergence",
-    "gaussian_cip_closed_form",
     "best_bias_hinge",
 ]
 
@@ -113,52 +108,6 @@ def renyi_cross_entropy(p: ProjectedPair) -> float:
 def renyi_entropy(f: Kde1d) -> float:
     """Quadratic Renyi entropy of a density, -ln of its squared integral."""
     return -math.log(self_integral(f))
-
-
-def cauchy_schwarz_divergence(p: ProjectedPair) -> float:
-    """2 * cross entropy - entropy(f_minus) - entropy(f_plus); nonnegative,
-    zero exactly when the two mixtures coincide."""
-    return (
-        2.0 * renyi_cross_entropy(p)
-        - renyi_entropy(p.f_minus)
-        - renyi_entropy(p.f_plus)
-    )
-
-
-@dataclass(frozen=True)
-class GaussianSpec:
-    """A radial Gaussian class: mean vector and one isotropic sigma."""
-
-    mean: np.ndarray
-    sigma: float
-
-    def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError("sigma must be a positive finite number")
-        object.__setattr__(self, "mean", mean)
-
-
-def gaussian_cip_closed_form(
-    g_minus: GaussianSpec, g_plus: GaussianSpec, v: UnitDirection
-) -> float:
-    """Cross information potential of two radial Gaussians projected on v.
-
-    Projections of radial Gaussians are 1-D Gaussians with the same sigmas,
-    so the potential is
-
-        exp(-(<v, m_minus> - <v, m_plus>)^2 / (2 (s_-^2 + s_+^2)))
-            / sqrt(2 pi (s_-^2 + s_+^2)).
-    """
-    if g_minus.mean.shape != g_plus.mean.shape:
-        raise ValueError("dimension mismatch between Gaussian means")
-    if g_minus.mean.shape[0] != v.dim:
-        raise ValueError("dimension mismatch between means and direction")
-    var_sum = g_minus.sigma**2 + g_plus.sigma**2
-    delta = float(v.components @ (g_minus.mean - g_plus.mean))
-    return math.exp(-(delta * delta) / (2.0 * var_sum)) / math.sqrt(
-        2.0 * math.pi * var_sum
-    )
 
 
 def best_bias_hinge(minus, plus) -> tuple[float, float]:

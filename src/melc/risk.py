@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LabeledDataset, UnitDirection, project
+from .geometry import LabeledDataset, UnitDirection
 from .kde import (
     _PAIR_GRID_POINTS,
     _direct_on_grid,
@@ -46,14 +46,12 @@ from .kde import (
     binned_density_on_grid,
     min_density_bound,
 )
-from .objectives import ProjectedPair, projected_pair, renyi_cross_entropy
+from .objectives import ProjectedPair, renyi_cross_entropy
 
 __all__ = [
     "MultithresholdModel",
-    "RiskEstimate",
     "BoundCheck",
     "overlap_integral",
-    "eaa_bayes_risk_for_direction",
     "build_multithreshold_model",
     "classify",
     "empirical_balanced_error",
@@ -113,22 +111,6 @@ class MultithresholdModel:
 
 
 @dataclass(frozen=True)
-class RiskEstimate:
-    """Overlap mass of the two projected densities and the implied balanced
-    Bayes risk, eaa_risk = overlap / 2."""
-
-    overlap: float
-    eaa_risk: float
-    grid_points: int
-
-    def __post_init__(self):
-        if not (-1e-6 <= self.overlap <= 2.0):
-            raise ValueError("overlap outside [0, 2]")
-        if abs(self.eaa_risk - self.overlap / 2.0) > 1e-15:
-            raise ValueError("eaa_risk must equal overlap / 2")
-
-
-@dataclass(frozen=True)
 class BoundCheck:
     """One evaluation of the entropy lower bound on the overlap mass.
 
@@ -141,6 +123,13 @@ class BoundCheck:
     rhs: float
     holds: bool
     separable: bool = False
+
+    @property
+    def slack(self) -> float:
+        """lhs - rhs; infinite where either side is."""
+        if math.isfinite(self.lhs) and math.isfinite(self.rhs):
+            return self.lhs - self.rhs
+        return math.inf
 
 
 def _check_grid_points(grid_points: int):
@@ -201,27 +190,6 @@ def overlap_integral(
             if overlap >= _BINNED_OVERLAP_MIN:
                 return overlap
     return float(np.trapezoid(_grid_minimum(p.f_minus, p.f_plus, grid), grid))
-
-
-def eaa_bayes_risk_for_direction(
-    data: LabeledDataset,
-    v: UnitDirection,
-    bandwidth_override=None,
-    grid_points: int = DEFAULT_GRID_POINTS,
-) -> RiskEstimate:
-    """Balanced Bayes risk of the multithreshold family on one projection.
-
-    Projects the dataset on ``v``, builds the class KDEs (Silverman
-    bandwidths unless ``bandwidth_override`` gives one shared value), and
-    returns the overlap mass with eaa_risk = overlap / 2.
-    """
-    data.require_both_classes()
-    minus, plus = project(data, v)
-    pair = projected_pair(minus, plus, bandwidth_override, bandwidth_override)
-    overlap = overlap_integral(pair, grid_points)
-    return RiskEstimate(
-        overlap=overlap, eaa_risk=overlap / 2.0, grid_points=grid_points
-    )
 
 
 def _signs(log_plus: np.ndarray, log_minus: np.ndarray) -> np.ndarray:

@@ -3,7 +3,9 @@
 Every angle gets one record holding all per-direction objectives: the cross
 information potential and its entropies, the hinge baseline at its optimal
 bias, the best single-threshold balanced error, and the overlap-based
-balanced Bayes risk. ``bound_sweep`` checks the entropy bound per angle.
+balanced Bayes risk. ``train`` fits the model on the direction that
+``melc_direction`` scans for. ``bound_sweep`` checks the entropy bound per
+angle and ``bound_summary`` totals its results.
 
 ``bandwidth_override`` is one bandwidth shared by both classes; None means
 the Silverman rule per class and per angle.
@@ -33,8 +35,10 @@ from .objectives import (
 from .risk import (
     DEFAULT_GRID_POINTS,
     BoundCheck,
+    MultithresholdModel,
     best_single_threshold_error,
     bound_check,
+    build_multithreshold_model,
     overlap_integral,
 )
 
@@ -44,7 +48,9 @@ __all__ = [
     "angle_grid",
     "sweep",
     "melc_direction",
+    "train",
     "bound_sweep",
+    "bound_summary",
     "select_best",
     "relative_error",
     "compare",
@@ -267,6 +273,25 @@ def melc_direction(
     return entry(_best_first([counted(k) for k in range(n)], refine, potential))
 
 
+def train(
+    data: LabeledDataset,
+    n: int,
+    bandwidth_override=None,
+    grid_points: int = DEFAULT_GRID_POINTS,
+) -> tuple[float, MultithresholdModel, tuple[float, float]]:
+    """Train the model: the ``melc_direction`` angle of the n-point grid and,
+    on its projection, the rule sign(f_plus - f_minus) as a threshold model
+    (``build_multithreshold_model`` at ``grid_points`` nodes).
+
+    Returns (angle, model, (bandwidth of f_minus, bandwidth of f_plus)).
+    """
+    angle, direction = melc_direction(data, n, bandwidth_override)
+    minus, plus = project(data, direction)
+    pair = projected_pair(minus, plus, bandwidth_override, bandwidth_override)
+    model = build_multithreshold_model(pair, direction, grid_points)
+    return angle, model, (pair.f_minus.bandwidth, pair.f_plus.bandwidth)
+
+
 def _best_first(cheap, refine, potential, within=None, batch=1):
     """The first index of the smallest ``potential(k)``, given cheap lower
     bounds ``cheap[k]`` on every value and tighter ones from ``refine(ks)``,
@@ -333,6 +358,26 @@ def bound_sweep(
         pair = rescaled_pair(minus, plus, bandwidth_override, bandwidth_override, tail_k)
         results.append((angle, bound_check(pair, grid_points)))
     return results
+
+
+def bound_summary(results) -> dict:
+    """Totals of ``bound_sweep``'s results: the number of angles where the
+    bound fails (``violations``) and of separable ones
+    (``separable_angles``), and the smallest finite ``slack`` over the other
+    angles with its angle, the first on a tie (both None where there is
+    none)."""
+    slacks = [
+        (result.slack, angle)
+        for angle, result in results
+        if not result.separable and result.slack < math.inf
+    ]
+    min_slack, min_slack_angle = min(slacks, key=lambda entry: entry[0], default=(None, None))
+    return {
+        "violations": sum(not result.holds for _, result in results),
+        "separable_angles": sum(result.separable for _, result in results),
+        "min_slack": min_slack,
+        "min_slack_angle_rad": min_slack_angle,
+    }
 
 
 def select_best(records, objective_field: str, minimize: bool) -> SweepRecord:

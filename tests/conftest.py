@@ -2,8 +2,11 @@
 
 ``trapezoid_product_integral`` integrates mixture products numerically and
 independently of the closed forms it checks: plain trapezoid sums on
-point-doubling grids.
+point-doubling grids. ``gaussian_cip_closed_form`` is the population cross
+information potential that sampled class densities approach.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -30,6 +33,21 @@ def trapezoid_product_integral(f, g, stds=8.0, rel_tol=1e-9, max_points=2**21):
         previous = estimate
         points *= 2
     return previous
+
+
+def gaussian_cip_closed_form(mean_minus, sigma_minus, mean_plus, sigma_plus, v):
+    """Cross information potential of two radial Gaussian classes projected
+    on the unit direction v.
+
+    Projections of radial Gaussians are 1-D Gaussians with the same sigmas,
+    so the potential is
+
+        exp(-(<v, m_minus> - <v, m_plus>)^2 / (2 (s_-^2 + s_+^2)))
+            / sqrt(2 pi (s_-^2 + s_+^2)).
+    """
+    var_sum = sigma_minus**2 + sigma_plus**2
+    delta = float(v.components @ (np.asarray(mean_minus) - np.asarray(mean_plus)))
+    return math.exp(-(delta * delta) / (2.0 * var_sum)) / math.sqrt(2.0 * math.pi * var_sum)
 
 
 def clusters(rng, unit, count):

@@ -13,15 +13,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import trapezoid_product_integral
+from conftest import gaussian_cip_closed_form, trapezoid_product_integral
 from melc.datasets import DatasetSpec, generate, load_libsvm
 from melc.geometry import LabeledDataset, UnitDirection, cosine_alignment, project
 from melc.kde import Kde1d, cross_integral, kde_eval, silverman_bandwidth
 from melc.objectives import (
-    GaussianSpec,
     ProjectedPair,
     cip,
-    gaussian_cip_closed_form,
     projected_pair,
     rescaled_pair,
 )
@@ -29,8 +27,8 @@ from melc.risk import (
     bound_check,
     build_multithreshold_model,
     classify,
-    eaa_bayes_risk_for_direction,
     empirical_balanced_error,
+    overlap_integral,
 )
 from melc.sweep import bound_sweep, compare, melc_direction, select_best, sweep
 
@@ -107,14 +105,14 @@ def test_a3_closed_form_integrals_vs_quadrature():
         worst = max(worst, abs(exact - oracle) / abs(oracle))
     quadrature_ok = worst <= 1e-6
 
-    g_minus = GaussianSpec(np.array([0.0, 0.0]), 1.0)
-    g_plus = GaussianSpec(np.array([1.5, 0.5]), 0.8)
+    m_minus, s_minus = np.array([0.0, 0.0]), 1.0
+    m_plus, s_plus = np.array([1.5, 0.5]), 0.8
     v = UnitDirection.from_vector([1.0, 0.4])
     m = 20000
-    minus = rng.standard_normal((m, 2)) * g_minus.sigma + g_minus.mean
-    plus = rng.standard_normal((m, 2)) * g_plus.sigma + g_plus.mean
+    minus = rng.standard_normal((m, 2)) * s_minus + m_minus
+    plus = rng.standard_normal((m, 2)) * s_plus + m_plus
     sampled = cip(projected_pair(minus @ v.components, plus @ v.components))
-    closed = gaussian_cip_closed_form(g_minus, g_plus, v)
+    closed = gaussian_cip_closed_form(m_minus, s_minus, m_plus, s_plus, v)
     sampling_error = abs(sampled - closed) / closed
     _report(
         "A3 closed-form integrals vs quadrature",
@@ -355,12 +353,12 @@ def test_a8_decision_rule_and_risk_oracles():
         n = int(rng.integers(10, 30))
         data = two_clouds(rng, (0, 0), (rng.uniform(0.3, 2.0), 0.0), 0.4, n)
         direction = UnitDirection.from_angle(0.0)
-        estimate = eaa_bayes_risk_for_direction(data, direction)
         minus, plus = project(data, direction)
         pair = ProjectedPair(
             Kde1d(minus, silverman_bandwidth(minus)),
             Kde1d(plus, silverman_bandwidth(plus)),
         )
+        eaa_risk = overlap_integral(pair) / 2.0
         sigma_max = max(pair.f_minus.bandwidth, pair.f_plus.bandwidth)
         lo = min(minus.min(), plus.min()) - 8 * sigma_max
         hi = max(minus.max(), plus.max()) + 8 * sigma_max
@@ -377,7 +375,7 @@ def test_a8_decision_rule_and_risk_oracles():
                     err = 0.5 * np.trapezoid(np.where(signs == 1, fm, 0.0), grid)
                     err += 0.5 * np.trapezoid(np.where(signs == -1, fp, 0.0), grid)
                     best = min(best, float(err))
-        if estimate.eaa_risk > best + 2e-4:
+        if eaa_risk > best + 2e-4:
             risk_ok = False
             break
     _report(

@@ -415,6 +415,47 @@ class TestErrorPaths:
         assert not out.exists()
 
 
+def write_rows(path, points, labels):
+    path.write_text(
+        "".join(
+            ",".join(repr(float(x)) for x in point) + f",{label}\n"
+            for point, label in zip(points, labels)
+        )
+    )
+    return path
+
+
+class TestClassifyInputErrors:
+    """A classify run whose inputs do not fit gives a one-line error and
+    writes no file."""
+
+    @pytest.mark.parametrize("test_dim", [2, 4])
+    def test_pca2_test_dimension_mismatch(self, tmp_path, rng, capsys, test_dim):
+        labels = np.arange(60) % 2
+        train = write_rows(tmp_path / "train.csv", rng.normal(size=(60, 3)), labels)
+        test = write_rows(tmp_path / "test.csv", rng.normal(size=(60, test_dim)), labels)
+        out = tmp_path / "pred.csv"
+        capsys.readouterr()
+        assert run(["classify", "--train", train, "--test", test, "--out", out,
+                    "--angles", 12, "--pca2"]) == 1
+        err = capsys.readouterr().err
+        assert err == "melc: error: test set dimension does not match the 3-D training set\n"
+        assert list(tmp_path.glob("pred.*")) == []
+
+    def test_one_class_test_set_leaves_no_output(self, tmp_path, two_gauss_csv, capsys):
+        data = load_csv(two_gauss_csv)
+        plus = data.labels == 1
+        test = write_rows(tmp_path / "plus.csv", data.points[plus], data.labels[plus])
+        out = tmp_path / "pred.csv"
+        capsys.readouterr()
+        assert run(["classify", "--train", two_gauss_csv, "--test", test, "--out", out,
+                    "--angles", 12]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("melc: error:") and "both classes" in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.glob("pred.*")) == []
+
+
 class TestBandwidthFloor:
     """A bandwidth whose square is below the smallest normal float is refused
     in one line that names it; one just above the floor runs clean."""

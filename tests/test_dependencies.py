@@ -1,11 +1,13 @@
 """The package imports nothing beyond the standard library and its one
 declared dependency, numpy: packages that happen to be installed, such as
 scipy, are not dependencies of melc. Every name a module lists in
-``__all__`` is exported by the package, and every private module-level name
-is used somewhere in it."""
+``__all__`` is exported by the package and used outside its module, every
+private module-level name is used somewhere in it, and the command line
+leaves the pipeline to the library."""
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -13,7 +15,8 @@ import pytest
 
 import melc
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "melc"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "melc"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "melc"}
 
 
@@ -82,3 +85,34 @@ def test_private_names_are_used():
         if name not in used
     ]
     assert unused == []
+
+
+def _names_used_in(paths):
+    return {name for path in paths for name in _used_names(ast.parse(path.read_text()))}
+
+
+def _readme_library_names():
+    """Every word of README's library quick start section, code and prose."""
+    text = (ROOT / "README.md").read_text()
+    start = text.index("## Library quick start")
+    return set(re.findall(r"\w+", text[start : text.index("\n## ", start)]))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("[!_]*.py")), ids=lambda p: p.name)
+def test_public_names_are_used_outside_their_module(path):
+    """A name in ``__all__`` is used by another melc module, by the
+    benchmark, or by README's library quick start: one only tests use
+    belongs in the tests."""
+    others = [p for p in PACKAGE.glob("[!_]*.py") if p != path]
+    used = _names_used_in(others + sorted((ROOT / "bench").glob("*.py")))
+    used |= _readme_library_names()
+    module = importlib.import_module(f"melc.{path.stem}")
+    assert [name for name in getattr(module, "__all__", ()) if name not in used] == []
+
+
+def test_cli_leaves_the_pipeline_to_the_library():
+    """The command line parses and formats: it projects, builds pairs and
+    embeds through library functions only."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    internals = {"project", "projected_pair", "pca_top2", "LabeledDataset"}
+    assert internals & set(_used_names(tree)) == set()

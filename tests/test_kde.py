@@ -612,16 +612,25 @@ class TestCountCipBound:
         assert kde._count_cip_bound(f, g) >= 0.7 * cross_integral(f, g)
 
 
+# One below the log of the smallest subnormal long double: exp of a smaller
+# exponent rounds to 0 and so does exp(-inf), but long-double exp takes far
+# longer on the former.
+_LONGDOUBLE_EXP_FLOOR = np.log(np.finfo(np.longdouble).smallest_subnormal) - 1
+
+
 def _exact_density(f, grid):
     """The untruncated sum in extended precision, the binned density's
-    reference."""
+    reference. Exponents below _LONGDOUBLE_EXP_FLOOR go to -inf, which
+    leaves every term as it was."""
     centers = f.centers.astype(np.longdouble)
     nodes = grid.astype(np.longdouble)
     sigma = np.longdouble(f.bandwidth)
     out = np.zeros(grid.size, dtype=np.longdouble)
     for i0 in range(0, centers.size, 256):
         z = (centers[i0 : i0 + 256, None] - nodes[None, :]) / sigma
-        out += np.exp(-0.5 * z * z).sum(axis=0)
+        exponent = -0.5 * z * z
+        exponent[exponent < _LONGDOUBLE_EXP_FLOOR] = -np.inf
+        out += np.exp(exponent).sum(axis=0)
     return out / (centers.size * sigma * np.sqrt(2.0 * np.pi, dtype=np.longdouble))
 
 

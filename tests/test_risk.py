@@ -23,15 +23,14 @@ from melc.risk import (
     DEFAULT_GRID_POINTS,
     BoundCheck,
     MultithresholdModel,
-    RiskEstimate,
     best_single_threshold_error,
     bound_check,
     build_multithreshold_model,
     classify,
-    eaa_bayes_risk_for_direction,
     empirical_balanced_error,
     overlap_integral,
 )
+from melc.sweep import sweep
 
 X_AXIS = UnitDirection.from_angle(0.0)
 
@@ -114,11 +113,17 @@ def make_two_clouds(rng, separation, sigma=0.2, n=50):
     return LabeledDataset.from_arrays(points, labels)
 
 
+def eaa_risk(data, v, sigma=None):
+    """Balanced Bayes risk on the projection on v: half the overlap of the
+    class densities, both of bandwidth sigma, or Silverman's where None."""
+    minus, plus = project(data, v)
+    return overlap_integral(projected_pair(minus, plus, sigma, sigma)) / 2.0
+
+
 class TestEaaBayesRisk:
     def test_separated_clouds_near_zero(self, rng):
         data = make_two_clouds(rng, separation=50.0)
-        estimate = eaa_bayes_risk_for_direction(data, X_AXIS, bandwidth_override=0.1)
-        assert estimate.eaa_risk < 1e-6
+        assert eaa_risk(data, X_AXIS, sigma=0.1) < 1e-6
 
     @pytest.mark.parametrize("sigma", [None, 0.3])
     def test_override_matches_hand_built_pair(self, rng, sigma):
@@ -129,27 +134,25 @@ class TestEaaBayesRisk:
             sigmas = (silverman_bandwidth(minus), silverman_bandwidth(plus))
         else:
             sigmas = (sigma, sigma)
-        estimate = eaa_bayes_risk_for_direction(data, direction, bandwidth_override=sigma)
-        assert estimate.overlap == overlap_integral(projected_pair(minus, plus, *sigmas))
+        hand_built = overlap_integral(projected_pair(minus, plus, *sigmas))
+        assert 2.0 * eaa_risk(data, direction, sigma) == hand_built
 
     def test_identical_class_clouds(self, rng):
         points = rng.normal(size=(400, 2))
         labels = np.concatenate([np.full(200, -1), np.full(200, 1)])
         data = LabeledDataset.from_arrays(points, labels)
-        estimate = eaa_bayes_risk_for_direction(data, X_AXIS)
-        assert estimate.eaa_risk == pytest.approx(0.5, abs=0.05)
+        assert eaa_risk(data, X_AXIS) == pytest.approx(0.5, abs=0.05)
 
     def test_eaa_is_half_overlap(self, rng):
         data = make_two_clouds(rng, separation=1.0)
-        estimate = eaa_bayes_risk_for_direction(data, X_AXIS)
-        assert estimate.eaa_risk == estimate.overlap / 2.0
+        record = sweep(data, 2)[0]  # angle 0: the x axis
+        assert record.overlap == 2.0 * eaa_risk(data, X_AXIS)
+        assert record.eaa_risk == record.overlap / 2.0
 
     def test_label_exchange_invariance(self, rng):
         data = make_two_clouds(rng, separation=1.0)
         flipped = LabeledDataset.from_arrays(data.points, -data.labels)
-        a = eaa_bayes_risk_for_direction(data, X_AXIS)
-        b = eaa_bayes_risk_for_direction(flipped, X_AXIS)
-        assert a.overlap == pytest.approx(b.overlap, rel=1e-12)
+        assert eaa_risk(data, X_AXIS) == pytest.approx(eaa_risk(flipped, X_AXIS), rel=1e-12)
 
     def test_lower_bounds_enumerated_classifiers(self, rng):
         # Any classifier with up to 3 thresholds on a coarse grid must err at
@@ -158,7 +161,7 @@ class TestEaaBayesRisk:
 
         for _ in range(5):
             data = make_two_clouds(rng, separation=rng.uniform(0.3, 1.5), n=30)
-            estimate = eaa_bayes_risk_for_direction(data, X_AXIS)
+            risk = eaa_risk(data, X_AXIS)
             minus = data.points[data.labels == -1, 0]
             plus = data.points[data.labels == 1, 0]
             from melc.kde import silverman_bandwidth
@@ -186,7 +189,7 @@ class TestEaaBayesRisk:
                         err = 0.5 * np.trapezoid(np.where(signs == 1, fm, 0.0), grid)
                         err += 0.5 * np.trapezoid(np.where(signs == -1, fp, 0.0), grid)
                         best = min(best, float(err))
-            assert estimate.eaa_risk <= best + 1e-4
+            assert risk <= best + 1e-4
 
 
 class TestBuildMultithresholdModel:
@@ -312,9 +315,8 @@ class TestEmpiricalBalancedError:
             Kde1d(plus, silverman_bandwidth(plus)),
         )
         model = build_multithreshold_model(pair, X_AXIS)
-        estimate = eaa_bayes_risk_for_direction(data, X_AXIS)
         empirical = empirical_balanced_error(model, data)
-        assert empirical <= estimate.eaa_risk + 0.05
+        assert empirical <= eaa_risk(data, X_AXIS) + 0.05
 
 
 class TestBestSingleThresholdError:
@@ -384,11 +386,7 @@ class TestBoundCheck:
             bound_check(pair)
 
 
-class TestRiskEstimateInvariants:
-    def test_eaa_must_be_half_overlap(self):
-        with pytest.raises(ValueError):
-            RiskEstimate(overlap=0.5, eaa_risk=0.3, grid_points=64)
-
+class TestMultithresholdModelInvariants:
     def test_thresholds_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             MultithresholdModel(

@@ -13,11 +13,12 @@ from melc.datasets import DatasetSpec, generate
 from melc.geometry import LabeledDataset, UnitDirection, cosine_alignment, project
 from melc.kde import DegenerateBandwidthError, silverman_bandwidth
 from melc.objectives import cip, projected_pair, renyi_entropy, rescaled_pair
-from melc.risk import bound_check, overlap_integral
+from melc.risk import BoundCheck, bound_check, overlap_integral
 from melc.sweep import (
     ComparisonRow,
     SweepRecord,
     angle_grid,
+    bound_summary,
     bound_sweep,
     compare,
     melc_direction,
@@ -663,6 +664,32 @@ class TestBoundSweep:
         one_class = LabeledDataset.from_arrays(rng.normal(size=(10, 2)), [1] * 10)
         with pytest.raises(ValueError, match="both classes"):
             bound_sweep(one_class, 8)
+
+
+class TestBoundSummary:
+    def test_counts_and_first_smallest_slack(self):
+        results = [
+            (0.0, BoundCheck(lhs=2.0, rhs=1.5, holds=True)),
+            (0.5, BoundCheck(lhs=math.inf, rhs=math.inf, holds=True, separable=True)),
+            (1.0, BoundCheck(lhs=1.0, rhs=1.25, holds=False)),
+            (1.5, BoundCheck(lhs=2.0, rhs=2.25, holds=False)),
+        ]
+        assert results[1][1].slack == math.inf
+        assert bound_summary(results) == {
+            "violations": 2,
+            "separable_angles": 1,
+            "min_slack": -0.25,
+            "min_slack_angle_rad": 1.0,
+        }
+
+    def test_all_separable_has_no_smallest_slack(self):
+        separable = BoundCheck(lhs=math.inf, rhs=math.inf, holds=True, separable=True)
+        assert bound_summary([(0.0, separable), (1.0, separable)]) == {
+            "violations": 0,
+            "separable_angles": 2,
+            "min_slack": None,
+            "min_slack_angle_rad": None,
+        }
 
 
 class TestSelectBest:
