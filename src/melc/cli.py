@@ -21,6 +21,7 @@ from .datasets import (
     GENERATOR_NAME,
     GENERATOR_VERSION,
     DatasetSpec,
+    _NotPlanarError,
     _as_2d,
     _as_2d_pair,
     generate,
@@ -330,6 +331,12 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         return _COMMANDS[args.command](config)
+    except _NotPlanarError as exc:  # worded for the command line, which embeds by option
+        print(
+            f"melc: error: {exc.role} has dimension {exc.dim}; pass --pca2 to embed it first",
+            file=sys.stderr,
+        )
+        return 1
     except Exception as exc:  # surface a clean one-line error, nonzero exit
         print(f"melc: error: {exc}", file=sys.stderr)
         return 1

@@ -246,6 +246,15 @@ def pca_top2(data: LabeledDataset) -> tuple[LabeledDataset, np.ndarray]:
     return LabeledDataset.from_arrays(coords, data.labels), components
 
 
+class _NotPlanarError(ValueError):
+    """Raised where a 2-D dataset is needed, the one given is not, and no
+    embedding was asked for. ``role`` names the set, ``dim`` its dimension."""
+
+    def __init__(self, role: str, dim: int):
+        super().__init__(f"{role} has dimension {dim}, not 2; embed it first (pca_top2)")
+        self.role, self.dim = role, dim
+
+
 def _as_2d(data: LabeledDataset, pca2: bool) -> LabeledDataset:
     """The dataset itself when it is 2-D, else under ``pca2`` its
     ``pca_top2`` embedding."""
@@ -253,7 +262,7 @@ def _as_2d(data: LabeledDataset, pca2: bool) -> LabeledDataset:
         return data
     if pca2:
         return pca_top2(data)[0]
-    raise ValueError(f"dataset has dimension {data.dim}; pass --pca2 to embed it first")
+    raise _NotPlanarError("dataset", data.dim)
 
 
 def _as_2d_pair(
@@ -263,9 +272,7 @@ def _as_2d_pair(
     that is not 2-D is embedded under ``pca2`` by ``pca_top2``, and the test
     set with the training set's mean and components, not its own."""
     if train.dim != 2 and not pca2:
-        raise ValueError(
-            f"training set has dimension {train.dim}; pass --pca2 to embed it first"
-        )
+        raise _NotPlanarError("training set", train.dim)
     if test.dim != train.dim:
         raise ValueError(
             f"test set dimension does not match the {train.dim}-D training set"

@@ -172,9 +172,20 @@ _GRID_REMAINDER = 1e-17
 _GRID_MAX_TERMS = 12
 # The moments sit on a sub-lattice of every D-th node, D the largest 5-smooth
 # factor whose step is at most this many bandwidths (10 terms). Below pi / 39
-# the kernel spectra, exp(-xi^2/2) times polynomials, underflow before the
-# sub-lattice's Nyquist frequency.
+# the sub-lattice's Nyquist frequency, pi / (D r) in inverse bandwidths, lies
+# past 39, where the kernel spectra, exp(-xi^2/2) times polynomials,
+# underflow; the spectra are read only below _GRID_SPECTRUM_CUT, well short
+# of it.
 _GRID_COARSE_STEP = 0.08
+# The kernel spectra are built only below xi = _GRID_SPECTRUM_CUT inverse
+# bandwidths and taken as 0 past it. A center's kernel then moves a node by
+# at most sqrt(2/pi) times its spectrum's magnitude summed over the omitted
+# columns, 2 pi / (L r) <= 2 pi / 11 apart. With up to 12 terms that is
+# 2.3e-23 of the kernel's peak from the integral past 10 and at most 1.3e-22
+# from the first omitted column at offsets of at most 0.04 bandwidths, the
+# most that D > 1 gives (4.0e-23 and 2.3e-22 at the 0.097 of D = 1): far
+# below _GRID_REMAINDER.
+_GRID_SPECTRUM_CUT = 10.0
 # (-1)^(q // 2) / q!: the sign of (-i)^q's nonzero part over q factorial.
 _GRID_SIGNED_FACTORIALS = np.array(
     [(-1) ** (q // 2) / math.factorial(q) for q in range(_GRID_MAX_TERMS)]
@@ -418,12 +429,16 @@ def _binned_density(f: Kde1d, grid: np.ndarray) -> np.ndarray | None:
     sqrt(2 pi) / r (-i)^q He_q(xi) / q! exp(-xi^2 / 2) at xi = 2 pi m / (L r),
     up to aliasing below 1e-50 for every r that _grid_terms admits. With L
     a multiple of D, the DFT of moments that are zero off the sub-lattice is
-    the DFT of length L / D of the sub-lattice moments, repeated; since
-    D r <= _GRID_COARSE_STEP < pi / 39, the spectra vanish before its
-    Nyquist frequency, so the short transforms serve as they are. A center
-    half a step past the last node may sit nearest a sub-lattice node less
-    than D steps beyond it, and L >= n + D + 11 / r keeps every wrapped image
-    11 bandwidths from every output node.
+    the DFT of length L / D of the sub-lattice moments, repeated. The spectra
+    are built only below xi = _GRID_SPECTRUM_CUT = 10, which drops at most
+    2.3e-23 of a kernel's peak (a few 1e-22 counting the column spacing; see
+    the constant). Since D r <= _GRID_COARSE_STEP < pi / 39, the
+    sub-lattice's Nyquist frequency pi / (D r) lies past xi = 39, where the
+    spectra underflow, and so past every column read: the short transforms
+    serve as they are. A center half a step past the last node may sit
+    nearest a sub-lattice node less than D steps beyond it, and
+    L >= n + D + 11 / r keeps every wrapped image 11 bandwidths from every
+    output node.
     """
     n = grid.size
     step = (grid[-1] - grid[0]) / (n - 1)
@@ -448,8 +463,8 @@ def _binned_density(f: Kde1d, grid: np.ndarray) -> np.ndarray | None:
         np.multiply(powers[q - 1], offsets, out=powers[q])
     index = coarse + short * np.arange(terms)[:, None]
     moments = np.bincount(index.ravel(), weights=powers.ravel(), minlength=terms * short)
-    # exp(-xi^2/2) underflows to zero from xi = 39 on, and so do the spectra.
-    count = min(short // 2 + 1, math.ceil(39.0 * size * ratio / (2.0 * math.pi)))
+    # The columns below xi = _GRID_SPECTRUM_CUT; the rest are taken as 0.
+    count = min(short // 2 + 1, math.ceil(_GRID_SPECTRUM_CUT * size * ratio / (2.0 * math.pi)))
     xi = np.arange(count) * (2.0 * math.pi / (size * ratio))
     # hermite[q] = He_q(xi) exp(-xi^2/2) by the Hermite recurrence, then
     # times 1 / q! and the sign of (-i)^q's nonzero part, (-1)^(q // 2).

@@ -104,12 +104,15 @@ class TestSweepCommand:
             run(["sweep", "--data", two_gauss_csv, "--out", out, "--angles", "24"])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_rejects_non_2d_without_pca2(self, tmp_path):
+    def test_rejects_non_2d_without_pca2(self, tmp_path, capsys):
         path = tmp_path / "threed.csv"
         rows = ["1.0,2.0,3.0,1", "0.0,1.0,2.0,0", "2.0,0.0,1.0,1", "1.0,1.0,1.0,0"]
         path.write_text("\n".join(rows) + "\n")
         out = tmp_path / "s.csv"
+        capsys.readouterr()
         assert run(["sweep", "--data", path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == "melc: error: dataset has dimension 3; pass --pca2 to embed it first\n"
 
     def test_pca2_embeds_first(self, tmp_path, rng):
         path = tmp_path / "threed.csv"
@@ -440,6 +443,17 @@ class TestClassifyInputErrors:
                     "--angles", 12, "--pca2"]) == 1
         err = capsys.readouterr().err
         assert err == "melc: error: test set dimension does not match the 3-D training set\n"
+        assert list(tmp_path.glob("pred.*")) == []
+
+    def test_non_2d_training_set_without_pca2(self, tmp_path, rng, capsys):
+        labels = np.arange(60) % 2
+        train = write_rows(tmp_path / "train.csv", rng.normal(size=(60, 3)), labels)
+        out = tmp_path / "pred.csv"
+        capsys.readouterr()
+        assert run(["classify", "--train", train, "--test", train, "--out", out,
+                    "--angles", 12]) == 1
+        err = capsys.readouterr().err
+        assert err == "melc: error: training set has dimension 3; pass --pca2 to embed it first\n"
         assert list(tmp_path.glob("pred.*")) == []
 
     def test_one_class_test_set_leaves_no_output(self, tmp_path, two_gauss_csv, capsys):

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from melc.datasets import (
     DATASET_NAMES,
     DatasetSpec,
+    _NotPlanarError,
+    _as_2d,
+    _as_2d_pair,
     generate,
     load_csv,
     load_libsvm,
@@ -410,3 +413,22 @@ class TestPcaTop2:
         data = LabeledDataset.from_arrays([[0.0, 1.0], [1.0, 0.0]], [-1, 1])
         with pytest.raises(ValueError):
             pca_top2(data)
+
+
+class TestAs2d:
+    """A set that is not 2-D, given without asking for an embedding, is
+    refused with an error that names no command-line option."""
+
+    def test_dataset(self, rng):
+        data = LabeledDataset.from_arrays(rng.normal(size=(20, 3)), np.arange(20) % 2 * 2 - 1)
+        with pytest.raises(_NotPlanarError) as error:
+            _as_2d(data, pca2=False)
+        assert (error.value.role, error.value.dim) == ("dataset", 3)
+        assert "--" not in str(error.value)
+
+    def test_training_set(self, rng):
+        train = LabeledDataset.from_arrays(rng.normal(size=(20, 4)), np.arange(20) % 2 * 2 - 1)
+        with pytest.raises(_NotPlanarError) as error:
+            _as_2d_pair(train, train, pca2=False)
+        assert (error.value.role, error.value.dim) == ("training set", 4)
+        assert "--" not in str(error.value)

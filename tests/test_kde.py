@@ -634,6 +634,60 @@ def _exact_density(f, grid):
     return out / (centers.size * sigma * np.sqrt(2.0 * np.pi, dtype=np.longdouble))
 
 
+def _uncut_binned_density(f, grid):
+    """The binned density with its spectra built out to xi = 39, where
+    exp(-xi^2/2) underflows: the oracle for what the cut at
+    ``kde._GRID_SPECTRUM_CUT`` leaves out."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kde, "_GRID_SPECTRUM_CUT", 39.0)
+        return kde._binned_density(f, grid)
+
+
+# The largest step, in bandwidths, at which each term count reaches the
+# remainder, for q = 1 to kde._GRID_MAX_TERMS.
+_TERM_EDGES = [
+    2.0 * (kde._GRID_REMAINDER * math.factorial(q) / (q / math.e) ** (q / 2)) ** (1.0 / q)
+    for q in range(1, kde._GRID_MAX_TERMS + 1)
+]
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """A function that puts a recording stand-in for numpy into ``kde`` and
+    returns the list it fills: (name, input, rows, length) for every real
+    transform and inverse, ``rows`` transforms of ``length`` each."""
+
+    def install():
+        calls = []
+
+        class RecordingFft:
+            def __getattr__(self, name):
+                return getattr(np.fft, name)
+
+            @staticmethod
+            def rfft(a, n=None, axis=-1, **kwargs):
+                a = np.asarray(a)
+                calls.append(("rfft", a, a.size // a.shape[axis], n or a.shape[axis]))
+                return np.fft.rfft(a, n, axis, **kwargs)
+
+            @staticmethod
+            def irfft(a, n=None, axis=-1, **kwargs):
+                a = np.asarray(a)
+                calls.append(("irfft", a, a.size // a.shape[axis], n or 2 * (a.shape[axis] - 1)))
+                return np.fft.irfft(a, n, axis, **kwargs)
+
+        class RecordingNumpy:
+            fft = RecordingFft()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(kde, "np", RecordingNumpy())
+        return calls
+
+    return install
+
+
 class TestBinnedGridDensity:
     """The binned FFT density against an extended-precision sum as the
     oracle."""
@@ -705,42 +759,47 @@ class TestBinnedGridDensity:
         binned = kde._binned_density(f, grid)
         assert float(np.max(np.abs(binned - exact))) <= 1e-15 * float(exact.max())
 
-    def test_one_full_length_transform(self, rng, monkeypatch):
+    def test_one_full_length_transform(self, rng, fft_calls):
         # The moments' transforms are short; only the inverse transform
         # spans the grid.
-        lengths = []
-
-        class RecordingFft:
-            def __getattr__(self, name):
-                return getattr(np.fft, name)
-
-            @staticmethod
-            def rfft(a, n=None, axis=-1, **kwargs):
-                a = np.asarray(a)
-                lengths.extend([n or a.shape[axis]] * (a.size // a.shape[axis]))
-                return np.fft.rfft(a, n, axis, **kwargs)
-
-            @staticmethod
-            def irfft(a, n=None, axis=-1, **kwargs):
-                a = np.asarray(a)
-                lengths.extend([n or 2 * (a.shape[axis] - 1)] * (a.size // a.shape[axis]))
-                return np.fft.irfft(a, n, axis, **kwargs)
-
-        class RecordingNumpy:
-            fft = RecordingFft()
-
-            def __getattr__(self, name):
-                return getattr(np, name)
-
         centers = rng.normal(size=1000)
         sigma = silverman_bandwidth(centers)
         grid = np.linspace(centers.min() - 8.0 * sigma, centers.max() + 8.0 * sigma, 4096)
         f = Kde1d(centers, sigma)
         expected = binned_density_on_grid(f, grid)
-        monkeypatch.setattr(kde, "np", RecordingNumpy())
+        calls = fft_calls()
         got = binned_density_on_grid(f, grid)
-        assert sum(length >= grid.size for length in lengths) == 1
+        assert sum(rows for _, _, rows, length in calls if length >= grid.size) == 1
         np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("sigma", [0.3, 0.05, 2.0 / 4095.0 / 0.19])
+    def test_inverse_transform_reads_below_the_cut(self, sigma, rng, fft_calls):
+        # Spectra built below xi = 10 inverse bandwidths only: column m of a
+        # length-L transform sits at xi = 2 pi m / (L r).
+        grid = np.linspace(-1.0, 1.0, 4096)
+        f = Kde1d(np.clip(rng.normal(scale=0.3, size=1000), -0.9, 0.9), sigma)
+        calls = fft_calls()
+        kde._binned_density(f, grid)
+        [(_, spectrum, _, size)] = [call for call in calls if call[0] == "irfft"]
+        ratio = 2.0 / 4095.0 / sigma
+        assert np.count_nonzero(spectrum) <= math.ceil(10.0 * size * ratio / (2.0 * math.pi))
+
+    @pytest.mark.parametrize(
+        "ratio",
+        [1e-4, 0.002, 0.006, 0.0125, 0.04 * (1 - 1e-12), 0.0799, 0.12, _TERM_EDGES[-1] * (1 - 1e-9)],
+    )
+    def test_cut_spectra_match_uncut(self, ratio, rng):
+        # Past xi = 10 the spectra add at most a few 1e-22 of a kernel's
+        # peak, 1 / (sigma sqrt(2 pi)); the last ratio takes all 12 terms at
+        # offsets up to 0.097 bandwidths, and the first makes the window
+        # narrower than its kernel.
+        grid = np.linspace(-0.5, 0.5, 4096)
+        sigma = 1.0 / 4095.0 / ratio
+        f = Kde1d(rng.uniform(-0.5, 0.5, size=1000), sigma)
+        if ratio > 0.19:
+            assert kde._grid_terms(ratio) == 12
+        cut, uncut = kde._binned_density(f, grid), _uncut_binned_density(f, grid)
+        assert float(np.max(np.abs(cut - uncut))) <= 1e-20 / (sigma * math.sqrt(2.0 * math.pi))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 10**7))
