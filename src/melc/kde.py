@@ -22,15 +22,16 @@ The moments sit on every D-th node, D r <= 0.08 for a step of r bandwidths,
 so their transforms are D times shorter than the one inverse transform that
 gives every node. Its error is absolute, about 1e-16 of the peak density at
 every node. It serves the overlap quadrature and the threshold scan of
-``melc.risk``, and the pair sums (``cross_integral``, ``self_integral``):
-where the direct sum would cost more, those are the trapezoid sum of both
-binned densities on the pair window, kept when far above their error
-(``_grid_pair_integral``). Narrow kernels, small inputs and tiny or
-separable sums take the direct path and return its value bit for bit.
-A ``_PairGrid`` evaluates each of two densities on their pair grid at most
-once. A ``ProjectedPair`` keeps its own, which ``cip``, the default overlap
-quadrature and the threshold scan share; ``cross_integral`` on bare
-densities, and so each self-integral on its own window, makes a new one.
+``melc.risk``. The pair sums (``cross_integral``, ``self_integral``) take
+only its Fourier coefficients (``_binned_spectrum``): where the direct sum
+would cost more, the integral of f g is the inner product of both
+densities' coefficients on one coarse periodic lattice, by Parseval the
+trapezoid sum of their node values there, off by about 1e-16 of the two
+kernel peaks and kept when far above that (``_spectral_pair_integral``).
+Narrow kernels, small inputs and tiny or separable sums take the direct
+path and return its value bit for bit. A ``_PairGrid`` evaluates each of
+two densities on their pair grid at most once; a ``ProjectedPair`` keeps
+its own, which the default overlap quadrature and the threshold scan share.
 
 ``kde_eval`` truncates nothing; the tests take it as the oracle.
 ``_LogBand`` is the one direct evaluator at points: it gives ln f, finite
@@ -101,23 +102,38 @@ _EXACT_EXP = -30.0
 # 1.02, which covers their rounding.
 _BOUND_MARGIN = math.log(1.02)
 
-# Pair sums on the grid (``_grid_pair_integral``): _PAIR_GRID_POINTS nodes
-# over the centers padded by _WINDOW_STDS of the wider bandwidth, past which
-# the product's tail is below 1e-15 of a pair's term. Centers spanning more
-# pair standard deviations than _PAIR_MAX_SPAN_STDS take the direct sum.
+# Pair sums from Fourier coefficients (``_spectral_pair_integral``): a
+# lattice of step _PAIR_STEP of the narrower bandwidth, where 12 Taylor terms
+# reach _GRID_REMAINDER, over the pair window, _WINDOW_STDS of the wider
+# bandwidth past the centers each side, past which the product's tail is
+# below 1e-15 of a pair's term, with a period _PAIR_WRAP_STDS wider
+# bandwidths longer. Centers spanning more pair standard deviations than
+# _PAIR_MAX_SPAN_STDS, or lattices of more than _PAIR_GRID_POINTS nodes, take
+# the direct sum. _PAIR_GRID_POINTS is also the node count of the pair grid
+# (``_PairGrid``) that the overlap and the threshold scan use.
+_PAIR_STEP = 0.19
+_PAIR_WRAP_STDS = 11.0
 _WINDOW_STDS = 8.0
 _PAIR_GRID_POINTS = 4096
 _PAIR_MAX_SPAN_STDS = 64.0
 # Cost model, measured on a 2-vCPU x86 host: the direct sum takes 4.5 to 7 ns
 # a pair within reach at 500 to 5000 centers a side (a self pair visits half
-# the pairs), one binned density on the pair grid 0.35 ms up to 1000 centers
-# and 0.66 ms at 2000. They meet at this many direct pairs.
+# the pairs). Two binned densities on a 4096-node grid, 0.35 ms each up to
+# 1000 centers, met it at this many direct pairs. The spectral sum is
+# cheaper, 0.20 to 0.37 ms a cross pair at 200 to 2000 Silverman centers a
+# side, so it would meet the direct sum nearer 2^15 pairs (200 x 200: about
+# 0.19 ms each); the gate stays, and so do the direct path's bits below it.
 _PAIR_MIN_PAIRS = 1 << 17
-# A binned density is off by about 1e-16 of its peak at a node, so the
-# trapezoid sum of f g, each integrating to at most 1, is off by about
-# 1e-16 (max f + max g): at most 9.9e-17 (max f + max g) over 363 draws of
-# 200 to 3000 centers a side, bandwidths up to 10 times apart. A sum is kept
-# when twice that is at most 1e-13 of it.
+# By Parseval the spectral sum is the trapezoid sum, over one period of the
+# lattice, of the node values the binned evaluator would give there, each
+# off by about 1e-16 of its kernel's peak P = 1 / (sigma sqrt(2 pi)): as f
+# and g integrate to at most 1, the sum is off by about 1e-16 (P_f + P_g).
+# The Taylor remainder adds at most 1e-17, the cut spectra 2.3e-23, the
+# wrapped images e^-182 and the rule itself exp(-2 pi^2 t^2 / h^2) < e^-273
+# for t the product kernel's deviation (Trefethen & Weideman 2014), each of
+# P_f + P_g. A sum is kept when twice that is at most 1e-13 of it; P_f + P_g
+# bounds max f + max g, so the rule is at least as strict as one on the
+# densities' maxima.
 _PAIR_GRID_FLOOR = 2e-3
 
 # Direction screen (``_lattice_cip_screen``), in units of the smallest summed
@@ -416,35 +432,19 @@ def _binned_density(f: Kde1d, grid: np.ndarray) -> np.ndarray | None:
     one full-length inverse FFT; None when a center lies outside the grid.
 
     Each center is assigned to its nearest node k of the sub-lattice of
-    every D-th grid node, at an offset v from that node in bandwidths. With u
-    the distance from k to a grid node in bandwidths,
-
-        exp(-(u - v)^2 / 2) = sum_q [u^q exp(-u^2/2) / q!] [v^q exp(-v^2/2)],
-
-    so the density is a sum over q of per-node moments, zero off the
-    sub-lattice, convolved with fixed kernels sampled on the grid. The nodes
-    are taken as exactly uniform, which np.linspace's nodes are up to their
-    own rounding; the offsets are taken from the nodes themselves. For a step
-    of r bandwidths the q-th kernel, wrapped with period L, has the DFT
-    sqrt(2 pi) / r (-i)^q He_q(xi) / q! exp(-xi^2 / 2) at xi = 2 pi m / (L r),
-    up to aliasing below 1e-50 for every r that _grid_terms admits. With L
-    a multiple of D, the DFT of moments that are zero off the sub-lattice is
-    the DFT of length L / D of the sub-lattice moments, repeated. The spectra
-    are built only below xi = _GRID_SPECTRUM_CUT = 10, which drops at most
-    2.3e-23 of a kernel's peak (a few 1e-22 counting the column spacing; see
-    the constant). Since D r <= _GRID_COARSE_STEP < pi / 39, the
-    sub-lattice's Nyquist frequency pi / (D r) lies past xi = 39, where the
-    spectra underflow, and so past every column read: the short transforms
-    serve as they are. A center half a step past the last node may sit
-    nearest a sub-lattice node less than D steps beyond it, and
-    L >= n + D + 11 / r keeps every wrapped image 11 bandwidths from every
-    output node.
+    every D-th grid node, D = ``_grid_factor(r)`` for a step of r
+    bandwidths, and ``_binned_spectrum`` gives the density's Fourier
+    coefficients on the grid wrapped with period L. A center half a step
+    past the last node may sit nearest a sub-lattice node less than D steps
+    beyond it, and L >= n + D + 11 / r keeps every wrapped image 11
+    bandwidths from every output node. The nodes are taken as exactly
+    uniform, which np.linspace's nodes are up to their own rounding; the
+    offsets are taken from the nodes themselves.
     """
     n = grid.size
     step = (grid[-1] - grid[0]) / (n - 1)
     ratio = step / f.bandwidth
     factor = _grid_factor(ratio)
-    terms = _grid_terms(factor * ratio)
     scaled = (f.centers - grid[0]) / step
     nodes = np.rint(scaled)
     if nodes.min() < 0 or nodes.max() >= n:
@@ -452,9 +452,47 @@ def _binned_density(f: Kde1d, grid: np.ndarray) -> np.ndarray | None:
     coarse = np.rint(scaled / factor).astype(np.intp)
     # The grid's nodes, and the sub-lattice nodes past its end.
     lattice = np.concatenate([grid, grid[-1] + step * np.arange(1, factor + 1)])
-    offsets = (f.centers - lattice[factor * coarse]) / f.bandwidth
     short = _transform_length(-(-(n + factor + math.ceil((_CUTOFF_STDS + 1.0) / ratio)) // factor))
+    spectrum = _binned_spectrum(f, coarse, lattice[factor * coarse], ratio, factor, short)
+    density = np.fft.irfft(spectrum, factor * short)[:n]
+    # sqrt(2 pi) / r over the mixture's N sigma sqrt(2 pi) is 1 / (N step).
+    return density / (f.centers.size * step)
+
+
+def _binned_spectrum(
+    f: Kde1d, coarse: np.ndarray, anchors: np.ndarray, ratio: float, factor: int, short: int
+) -> np.ndarray:
+    """The discrete Fourier coefficients of N step f on a periodic lattice
+    of L = factor * short nodes ``ratio`` = r bandwidths apart, at the
+    columns below xi = _GRID_SPECTRUM_CUT: each center's Taylor moments sit
+    on node factor * ``coarse`` of the lattice, at ``anchors``, with at most
+    half of factor steps to the center.
+
+    With u the distance from that node to a lattice node in bandwidths and v
+    the center's offset from it,
+
+        exp(-(u - v)^2 / 2) = sum_q [u^q exp(-u^2/2) / q!] [v^q exp(-v^2/2)],
+
+    so the density is a sum over q of per-node moments, zero off the
+    sub-lattice of every factor-th node, convolved with fixed kernels
+    sampled on the lattice. The q-th kernel, wrapped with period L, has the
+    DFT sqrt(2 pi) / r (-i)^q He_q(xi) / q! exp(-xi^2 / 2) at
+    xi = 2 pi m / (L r), up to aliasing below 1e-50 for every r that
+    _grid_terms admits. The DFT of moments that are zero off the sub-lattice
+    is the DFT of length ``short`` of the sub-lattice moments, repeated. The
+    spectra are built only below xi = _GRID_SPECTRUM_CUT = 10, which drops
+    at most 2.3e-23 of a kernel's peak (a few 1e-22 counting the column
+    spacing; see the constant). Every column read lies below the short
+    transform's Nyquist frequency pi / (factor r): for factor > 1, factor r
+    <= _GRID_COARSE_STEP < pi / 39 puts it past xi = 39, where the spectra
+    underflow, and for factor 1 it is past pi / 0.2 > 15 for every r that
+    _grid_terms admits. So the short transforms serve as they are. The
+    factor sqrt(2 pi) / r is left out: over the mixture's N sigma
+    sqrt(2 pi) it is 1 / (N step).
+    """
+    terms = _grid_terms(factor * ratio)
     size = factor * short
+    offsets = (f.centers - anchors) / f.bandwidth
     # powers[q] = v^q exp(-v^2/2), summed per (term, node) by one bincount
     # into rows of the short transform's length.
     powers = np.empty((terms, offsets.size))
@@ -478,10 +516,7 @@ def _binned_density(f: Kde1d, grid: np.ndarray) -> np.ndarray | None:
     transforms = np.fft.rfft(moments.reshape(terms, short), axis=1)[:, :count]
     transforms *= hermite
     # The even terms' factors (-i)^q are real and the odd terms' imaginary.
-    spectrum = transforms[0::2].sum(axis=0) - 1j * transforms[1::2].sum(axis=0)
-    density = np.fft.irfft(spectrum, size)[:n]
-    # sqrt(2 pi) / r over the mixture's N sigma sqrt(2 pi) is 1 / (N step).
-    return density / (f.centers.size * step)
+    return transforms[0::2].sum(axis=0) - 1j * transforms[1::2].sum(axis=0)
 
 
 def _nearest_distances(a_sorted: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -497,7 +532,7 @@ def min_density_bound(f: Kde1d, g: Kde1d) -> float:
     Every x lies at least half the smallest center distance d between the two
     mixtures away from all centers of one of them, and a mixture is at most
     its kernel's value at that distance there."""
-    half = 0.5 * float(_nearest_distances(f._sorted_centers, g.centers).min())
+    half = 0.5 * float(_nearest_distances(f._sorted_centers, g._sorted_centers).min())
     return max(
         math.exp(-0.5 * (half / h.bandwidth) ** 2) / (h.bandwidth * _SQRT_2PI)
         for h in (f, g)
@@ -678,19 +713,19 @@ def _pair_window(f: Kde1d, g: Kde1d) -> tuple[float, float]:
 
 class _PairGrid:
     """The pair grid of two mixtures f and g, _PAIR_GRID_POINTS nodes over
-    ``_pair_window(f, g)``. The nodes and each mixture's
+    ``_pair_window(f, g)``, for the overlap quadrature and the threshold
+    scan of ``melc.risk``. The nodes and each mixture's
     ``binned_density_on_grid`` values there (None where the direct evaluator
     must be used) are computed on first use and kept, so the holder of one
     grid evaluates each density at most once. A ``ProjectedPair`` holds its
-    pair's; any other caller makes its own."""
+    pair's."""
 
     def __init__(self, f: Kde1d, g: Kde1d):
         self.f, self.g = f, g
-        self.window = _pair_window(f, g)
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.window[0], self.window[1], _PAIR_GRID_POINTS)
+        return np.linspace(*_pair_window(self.f, self.g), _PAIR_GRID_POINTS)
 
     @cached_property
     def f_values(self) -> np.ndarray | None:
@@ -698,33 +733,54 @@ class _PairGrid:
 
     @cached_property
     def g_values(self) -> np.ndarray | None:
-        return self.f_values if self.g is self.f else binned_density_on_grid(self.g, self.nodes)
+        return binned_density_on_grid(self.g, self.nodes)
 
 
-def _grid_pair_integral(
-    f: Kde1d, g: Kde1d, var_sum: float, grid: _PairGrid | None = None
-) -> float | None:
-    """The integral of f g as the trapezoid sum of both binned densities on
-    the pair grid, exactly symmetric in f and g; None where the direct sum
-    must run. The densities come from ``grid``, the pair grid of f and g,
-    where the caller holds one, else from a grid of its own. The rule's
-    error is about exp(-2 pi^2 t^2 / h^2) for Gaussian mixtures (Trefethen &
-    Weideman 2014), t the narrowest product kernel's deviation, and binned
-    densities keep the step h below t / 3."""
-    grid = _PairGrid(f, g) if grid is None else grid
-    window = grid.window
-    pad = 2.0 * _WINDOW_STDS * max(f.bandwidth, g.bandwidth)
-    span_stds = (window[1] - window[0] - pad) / math.sqrt(var_sum)
+def _spectral_pair_integral(f: Kde1d, g: Kde1d, var_sum: float) -> float | None:
+    """The integral of f g from both densities' Fourier coefficients on one
+    periodic lattice, exactly symmetric in f and g; None where the direct
+    sum must run.
+
+    The lattice starts at the pair window's left end, its step h is
+    _PAIR_STEP of the narrower bandwidth, and its period of L nodes covers
+    the window plus _PAIR_WRAP_STDS of the wider bandwidth, so every wrapped
+    image lies at least 27 wider bandwidths from the other density's
+    centers. ``_binned_spectrum`` gives the coefficients F and G of N_f h f
+    and N_g h g there, and by Parseval the trapezoid sum of f g over one
+    period is
+
+        (F_0 G_0 + 2 sum_{m >= 1} Re F_m conj(G_m)) / (N_f N_g h L),
+
+    which needs neither the inverse transform nor the node values. Both sets
+    vanish past xi = 10 of their own bandwidth, far short of the Nyquist
+    column. A self pair (``g is f``) uses one set, and two sets are taken in
+    a canonical order, so the sum does not depend on the argument order."""
+    lo, hi = _pair_window(f, g)
+    narrow, wide = sorted((f.bandwidth, g.bandwidth))
+    span_stds = (hi - lo - 2.0 * _WINDOW_STDS * wide) / math.sqrt(var_sum)
     # Pairs the direct sum computes if the centers are spread evenly.
     direct_pairs = f.n_centers * g.n_centers * min(1.0, 2.0 * _CUTOFF_STDS / max(span_stds, 1.0))
     if span_stds >= _PAIR_MAX_SPAN_STDS or direct_pairs < _PAIR_MIN_PAIRS:
         return None
-    fv = grid.f_values
-    gv = None if fv is None else grid.g_values
-    if gv is None:
+    step = _PAIR_STEP * narrow
+    nodes = math.ceil((hi - lo) / step) + 1
+    size = _transform_length(nodes + math.ceil(_PAIR_WRAP_STDS * wide / step))
+    if size > _PAIR_GRID_POINTS:
         return None
-    integral = float(np.trapezoid(fv * gv, grid.nodes))
-    return integral if integral >= _PAIR_GRID_FLOOR * (fv.max() + gv.max()) else None
+    spectra = []
+    for d in (f,) if g is f else (f, g):
+        coarse = np.rint((d.centers - lo) / step).astype(np.intp)
+        anchors = lo + step * coarse
+        spectra.append(_binned_spectrum(d, coarse, anchors, step / d.bandwidth, 1, size))
+    first, second = sorted((spectra[0], spectra[-1]), key=np.ndarray.tobytes)
+    count = min(first.size, second.size)
+    head = float(first[0].real * second[0].real)
+    rest = float(np.dot(first.real[1:count], second.real[1:count]))
+    rest += float(np.dot(first.imag[1:count], second.imag[1:count]))
+    integral = (head + 2.0 * rest) / (f.n_centers * g.n_centers * step * size)
+    # max f + max g is at most the two kernel peaks.
+    peaks = (1.0 / f.bandwidth + 1.0 / g.bandwidth) / _SQRT_2PI
+    return integral if integral >= _PAIR_GRID_FLOOR * peaks else None
 
 
 def cross_integral(f: Kde1d, g: Kde1d) -> float:
@@ -736,18 +792,12 @@ def cross_integral(f: Kde1d, g: Kde1d) -> float:
         (1/(N_f N_g)) * sum_ij phi(c_i - d_j; sigma_f^2 + sigma_g^2),
 
     where phi(d; s^2) = exp(-d^2 / (2 s^2)) / sqrt(2 pi s^2). Wide kernels
-    take it from a grid (``_grid_pair_integral``), others from the direct sum
-    in a canonical order; either is exactly symmetric under argument swap.
+    take it from the densities' Fourier coefficients
+    (``_spectral_pair_integral``), others from the direct sum in a canonical
+    order; either is exactly symmetric under argument swap.
     """
-    return _cross_integral(_PairGrid(f, g))
-
-
-def _cross_integral(grid: _PairGrid) -> float:
-    """``cross_integral`` of the grid's two mixtures, whose binned densities
-    on their pair grid come from ``grid``."""
-    f, g = grid.f, grid.g
     var_sum = f.bandwidth * f.bandwidth + g.bandwidth * g.bandwidth
-    integral = _grid_pair_integral(f, g, var_sum, grid)
+    integral = _spectral_pair_integral(f, g, var_sum)
     if integral is not None:
         return integral
     total = _direct_pair_sum(*_canonical_pair(f.centers, g.centers), var_sum)

@@ -10,16 +10,18 @@ The overlap quadrature evaluates the densities with the binned FFT
 evaluator of ``melc.kde`` where it applies. On the default window at the
 default node count the grid is the pair's own pair grid, and the binned
 densities are the pair's, evaluated at most once per pair and shared with
-``cip`` and the threshold scan; any other window or node count, as
-``bound_check``'s [0, 1], evaluates its own. The binned error is absolute,
-about 1e-16 of the peak density, so an overlap below 1e-3 is recomputed with
-the direct evaluator: -ln(overlap) in the entropy bound then stays within
-1e-12. Where the center distances alone bound the overlap below 1e-3, the
-direct evaluator runs from the start. The direct minimum of the two
-densities is exp(min(ln f_minus, ln f_plus)) from the log-domain band
-evaluator of ``melc.kde``, at the nodes that both densities' blocks of
-centers reach, each density evaluated only where it is not certainly the
-larger one.
+the threshold scan; any other window or node count, as ``bound_check``'s
+[0, 1], evaluates its own. ``cip``, and so ``bound_check``'s rhs, takes no
+grid density: its pair sum comes from both densities' Fourier coefficients
+on a coarse lattice, off by about 1e-16 of the two kernel peaks (see
+``melc.kde``). The binned error is absolute, about 1e-16 of the peak
+density, so an overlap below 1e-3 is recomputed with the direct evaluator:
+-ln(overlap) in the entropy bound then stays within 1e-12. Where the
+center distances alone bound the overlap below 1e-3, the direct evaluator
+runs from the start. The direct minimum of the two densities is
+exp(min(ln f_minus, ln f_plus)) from the log-domain band evaluator of
+``melc.kde``, at the nodes that both densities' blocks of centers reach,
+each density evaluated only where it is not certainly the larger one.
 
 Threshold extraction reads the sign of f_plus - f_minus from the binned
 densities only at grid nodes where the difference exceeds a margin of 1e-12
@@ -46,7 +48,7 @@ from .kde import (
     binned_density_on_grid,
     min_density_bound,
 )
-from .objectives import ProjectedPair, renyi_cross_entropy
+from .objectives import ProjectedPair, _merge, renyi_cross_entropy
 
 __all__ = [
     "MultithresholdModel",
@@ -150,8 +152,8 @@ def _grid(p: ProjectedPair, grid_points: int, window=None) -> np.ndarray:
 def _binned(p: ProjectedPair, grid: np.ndarray) -> tuple:
     """Binned (f_minus, f_plus) on ``grid``, None where the direct evaluator
     must be used. On the pair's own pair grid they are the pair's values,
-    evaluated at most once and shared with ``cip``; on any other grid they
-    are evaluated here."""
+    evaluated at most once and shared by the overlap and the threshold
+    scan; on any other grid they are evaluated here."""
     shared = p._pair_grid
     if grid is shared.nodes:
         return shared.f_values, shared.g_values
@@ -170,8 +172,8 @@ def overlap_integral(
     Densities come from the binned evaluator where it applies; an overlap
     below 1e-3, or one bounded below it by the center distances, comes from
     direct densities. On the default window at the default node count the
-    grid is the pair's own, so the binned densities are the ones ``cip``
-    evaluates.
+    grid is the pair's own, so the binned densities are the ones the
+    threshold scan reads.
     """
     _check_grid_points(grid_points)
     grid = _grid(p, grid_points, window)
@@ -354,17 +356,38 @@ def best_single_threshold_error(minus, plus) -> float:
     plus = np.sort(np.asarray(plus, dtype=np.float64))
     if minus.size == 0 or plus.size == 0:
         raise ValueError("both classes must be nonempty")
-    merged = np.sort(np.concatenate([minus, plus]))
-    candidates = np.concatenate(
-        [[merged[0] - 1.0], 0.5 * (merged[:-1] + merged[1:]), [merged[-1] + 1.0]]
+    merged, order = _merge(minus, plus)
+    # Counts at or below and below each candidate, as indices into the
+    # merge. A midpoint of two values whose sum does not overflow (|x| below
+    # about 9e307) lies between them, so it passes exactly the entries up to
+    # the lower one, and those of the upper one's run of equal values only
+    # where it rounds onto it; likewise below. The sentinels equal an end
+    # value once |x| >= 2^53, so they are searched.
+    mids = 0.5 * (merged[:-1] + merged[1:])
+    after = np.arange(1, merged.size)
+    new_run = merged[1:] != merged[:-1]
+    # Where each entry's run of equal values starts, and one past its end.
+    run_start = np.maximum.accumulate(np.concatenate([[0], np.where(new_run, after, 0)]))
+    ends = np.append(np.where(new_run, after, merged.size), merged.size)
+    run_end = np.minimum.accumulate(ends[::-1])[::-1]
+    sentinels = np.array([merged[0] - 1.0, merged[-1] + 1.0])
+    right, left = (np.searchsorted(merged, sentinels, side=side) for side in ("right", "left"))
+    at_or_below = np.concatenate(
+        [right[:1], np.where(mids < merged[1:], after, run_end[1:]), right[1:]]
     )
+    below = np.concatenate(
+        [left[:1], np.where(mids > merged[:-1], after, run_start[:-1]), left[1:]]
+    )
+    minus_at_or_below = np.concatenate([[0], np.cumsum(order < minus.size)])
     # Orientation A: predict +1 iff x > t.
-    minus_above = 1.0 - np.searchsorted(minus, candidates, side="right") / minus.size
-    plus_at_or_below = np.searchsorted(plus, candidates, side="right") / plus.size
+    minus_le = minus_at_or_below[at_or_below]
+    minus_above = 1.0 - minus_le / minus.size
+    plus_at_or_below = (at_or_below - minus_le) / plus.size
     err_a = 0.5 * (minus_above + plus_at_or_below)
     # Orientation B: predict +1 iff x < t.
-    minus_below = np.searchsorted(minus, candidates, side="left") / minus.size
-    plus_at_or_above = 1.0 - np.searchsorted(plus, candidates, side="left") / plus.size
+    minus_lt = minus_at_or_below[below]
+    minus_below = minus_lt / minus.size
+    plus_at_or_above = 1.0 - (below - minus_lt) / plus.size
     err_b = 0.5 * (minus_below + plus_at_or_above)
     return float(min(err_a.min(), err_b.min()))
 

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from melc.kde import kde_eval
 
@@ -65,3 +66,28 @@ def clusters(rng, unit, count):
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@st.composite
+def tied_classes(draw):
+    """Two nonempty classes of 1 to 40 scalars with many ties, within and
+    across the classes and after shifts by +-1: values on a lattice of step
+    1/2, 1 or 2 near 0, or of step 2^7 to 2^9 near 2^60 (where x +- 1
+    rounds to x) or near 2^52 and 2^53 (where it rounds to even), each
+    optionally negated, with a few draws of plain normal noise."""
+    kind = draw(st.sampled_from(["small", "2^52", "2^53", "2^60", "noise"]))
+    sizes = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    classes = []
+    for n in sizes:
+        if kind == "noise":
+            values = rng.normal(size=n)
+        elif kind == "small":
+            values = rng.integers(-6, 7, n) * draw(st.sampled_from([0.5, 1.0, 2.0]))
+        else:
+            base = 2.0 ** {"2^52": 52, "2^53": 53, "2^60": 60}[kind]
+            step = 2.0 ** draw(st.integers(7, 9) if kind == "2^60" else st.integers(-1, 9))
+            values = base + rng.integers(-4, 5, n) * step
+        classes.append(sign * values.astype(np.float64))
+    return tuple(classes)

@@ -336,9 +336,10 @@ def two_gauss_7_csv(tmp_path_factory):
 
 class TestSilvermanRegression:
     """Seeded sweep and bound-check runs at Silverman bandwidths, where every
-    pair sum and overlap takes the binned path, against CSVs recorded before
-    ``cip`` and the overlap shared the pair's densities: two-gauss seed 7,
-    500 points a class, 90 angles."""
+    pair sum comes from Fourier coefficients and every overlap from binned
+    grid densities, against CSVs recorded before ``cip`` and the overlap
+    shared the pair's densities: two-gauss seed 7, 500 points a class, 90
+    angles."""
 
     @pytest.mark.parametrize("command", ["sweep", "bound-check"])
     def test_matches_recorded_csv(self, tmp_path, two_gauss_7_csv, command, capsys, monkeypatch):
@@ -353,11 +354,23 @@ class TestSilvermanRegression:
         recording(risk, "_grid_minimum", direct)
         recording(risk, "_direct_on_grid", direct)
         recording(kde, "_binned_density", binned)
+        spectral = kde._spectral_pair_integral
+        sums = []
+
+        def recording_sum(*args):
+            sums.append(spectral(*args))
+            return sums[-1]
+
+        monkeypatch.setattr(kde, "_spectral_pair_integral", recording_sum)
         out = tmp_path / "out.csv"
         assert run([command, "--data", two_gauss_7_csv, "--out", out, "--angles", 90]) == 0
         capsys.readouterr()
         assert direct == []
-        assert len(binned) >= 4 * 90
+        # Per angle the overlap's two grid densities, and cip (and for
+        # sweep both self-integrals) from Fourier coefficients.
+        assert len(binned) == 2 * 90
+        assert len(sums) == (3 if command == "sweep" else 1) * 90
+        assert None not in sums
         name = f"two_gauss_7_{command.replace('-', '_')}_silverman.csv"
         assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
 

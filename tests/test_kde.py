@@ -358,27 +358,32 @@ def _direct_integral(f, g):
     return total / (a.size * b.size * math.sqrt(2.0 * math.pi * var_sum))
 
 
-def _grid_integral(f, g):
-    """The grid path's trapezoid sum and its acceptance floor, apart from the
-    span and cost gates; None where a density is not binned."""
-    grid = np.linspace(*kde._pair_window(f, g), kde._PAIR_GRID_POINTS)
-    fv, gv = (binned_density_on_grid(d, grid) for d in (f, g))
-    if fv is None or gv is None:
+def _spectral_integral(f, g):
+    """The spectral path's pair sum and its acceptance floor, apart from the
+    span and cost gates; None where its lattice would be too long."""
+    var_sum = f.bandwidth**2 + g.bandwidth**2
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kde, "_PAIR_MAX_SPAN_STDS", math.inf)
+        patch.setattr(kde, "_PAIR_MIN_PAIRS", 0)
+        patch.setattr(kde, "_PAIR_GRID_FLOOR", -math.inf)
+        value = kde._spectral_pair_integral(f, g, var_sum)
+    if value is None:
         return None
-    return float(np.trapezoid(fv * gv, grid)), kde._PAIR_GRID_FLOOR * (fv.max() + gv.max())
+    peaks = (1.0 / f.bandwidth + 1.0 / g.bandwidth) / math.sqrt(2.0 * math.pi)
+    return value, kde._PAIR_GRID_FLOOR * peaks
 
 
 class TestBinnedPairSum:
-    """Pair sums from the binned grid densities against the direct sum as
-    the oracle."""
+    """Pair sums from the densities' Fourier coefficients against the direct
+    sum as the oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(pair_sum_inputs())
     def test_matches_direct_and_dispatches(self, pair):
         f, g = pair
         direct = _direct_integral(f, g)
-        binned = _grid_integral(f, g)
-        # About 1e-16 of the density peaks, so 1e-13 relative on accepted sums.
+        binned = _spectral_integral(f, g)
+        # About 1e-16 of the kernel peaks, so 1e-13 relative on accepted sums.
         if binned is not None:
             value, floor = binned
             assert abs(value - direct) <= 1e-13 * max(direct, floor)
@@ -400,7 +405,7 @@ class TestBinnedPairSum:
         f = Kde1d(centers, sigma)
         direct = _direct_integral(f, f)  # i < j only
         assert self_integral(f) == pytest.approx(direct, rel=1e-13)
-        binned = _grid_integral(f, f)
+        binned = _spectral_integral(f, f)
         if binned is not None:
             assert binned[0] == pytest.approx(direct, rel=1e-13)
         copy = Kde1d(centers.copy(), sigma)
@@ -426,9 +431,12 @@ class TestBinnedPairSum:
         plus = rng.normal(loc=1.0, size=1000)
         sigma = silverman_bandwidth(minus)
         f, g = Kde1d(minus, sigma), Kde1d(plus, sigma)
-        value, _ = _grid_integral(f, g)
+        value, _ = _spectral_integral(f, g)
         assert cross_integral(f, g) == value
         assert value != _direct_integral(f, g)
+        # Plain floats, as the direct path gives: callers count and format them.
+        assert type(cross_integral(f, g)) is float
+        assert type(self_integral(f)) is float
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -451,7 +459,8 @@ class TestBinnedPairSum:
         var_sum = s * s
 
         def accepted(offset):
-            return kde._grid_pair_integral(f, Kde1d(plus + offset, sigma_g), var_sum) is not None
+            g = Kde1d(plus + offset, sigma_g)
+            return kde._spectral_pair_integral(f, g, var_sum) is not None
 
         # Up to 15 s the centers span less than 64 s and the direct sum
         # would compute more pairs than the cost gate asks.
@@ -461,13 +470,41 @@ class TestBinnedPairSum:
         for _ in range(14):
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
-        # Both densities are binned just past the boundary, so the floor set it.
-        assume(_grid_integral(f, Kde1d(plus + hi, sigma_g)) is not None)
+        # The lattice fits just past the boundary, so the floor set it.
+        assume(_spectral_integral(f, Kde1d(plus + hi, sigma_g)) is not None)
         g = Kde1d(plus + lo, sigma_g)
         direct = _direct_integral(f, g)
         got = cross_integral(f, g)
-        assert got == kde._grid_pair_integral(f, g, var_sum)
+        assert got == kde._spectral_pair_integral(f, g, var_sum)
         assert abs(got - direct) <= 1e-13 * direct
+
+    def test_no_inverse_transform(self, rng, fft_calls):
+        # renyi_entropy and bound_check's rhs take their sums from Fourier
+        # coefficients: forward transforms of the moments, nothing inverted.
+        minus, plus = rng.normal(size=1000), rng.normal(loc=1.0, size=1000)
+        pair = rescaled_pair(minus, plus, None, None, 5.0)
+        want = [self_integral(pair.f_minus), renyi_cross_entropy(pair)]
+        calls = fft_calls()
+        assert [self_integral(pair.f_minus), renyi_cross_entropy(pair)] == want
+        assert [name for name, *_ in calls] == ["rfft"] * 3
+
+    def test_parseval_matches_the_lattice_trapezoid(self, rng):
+        # The spectral sum is the trapezoid sum over one period of the node
+        # values the coefficients invert to.
+        f = Kde1d(rng.normal(size=1500), 0.3)
+        g = Kde1d(rng.normal(loc=1.0, size=1200), 0.5)
+        value, _ = _spectral_integral(f, g)
+        lo, hi = kde._pair_window(f, g)
+        step = kde._PAIR_STEP * 0.3
+        wrap = math.ceil(kde._PAIR_WRAP_STDS * 0.5 / step)
+        size = kde._transform_length(math.ceil((hi - lo) / step) + 1 + wrap)
+        values = []
+        for d in (f, g):
+            coarse = np.rint((d.centers - lo) / step).astype(np.intp)
+            anchors = lo + step * coarse
+            spectrum = kde._binned_spectrum(d, coarse, anchors, step / d.bandwidth, 1, size)
+            values.append(np.fft.irfft(spectrum, size) / (d.n_centers * step))
+        assert step * float(np.sum(values[0] * values[1])) == pytest.approx(value, rel=1e-14)
 
     @pytest.mark.parametrize(
         "case", ["narrow-kernel", "separable", "few-pairs", "wide-span"]
@@ -487,7 +524,7 @@ class TestBinnedPairSum:
         f, g = Kde1d(minus, sigma), Kde1d(plus, sigma)
         direct = _direct_integral(f, g)
         if case == "separable":
-            value, floor = _grid_integral(f, g)
+            value, floor = _spectral_integral(f, g)
             assert value < floor
         assert cross_integral(f, g) == direct
         assert cross_integral(g, f) == direct

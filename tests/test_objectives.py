@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import gaussian_cip_closed_form
+from conftest import gaussian_cip_closed_form, tied_classes
 from melc.geometry import UnitDirection
 from melc.kde import Kde1d, kde_eval, silverman_bandwidth
 from melc.objectives import (
@@ -229,6 +230,47 @@ class TestBestBiasHinge:
             best_bias_hinge(np.array([]), np.array([1.0]))
 
 
+def hinge_scan_oracle(minus, plus):
+    """``best_bias_hinge`` by one ``searchsorted`` per candidate and kink
+    set: the loss at every distinct x - 1 and x + 1 from sorted kinks and
+    their prefix sums."""
+    minus = np.asarray(minus, dtype=np.float64)
+    plus = np.asarray(plus, dtype=np.float64)
+    points = np.concatenate([minus, plus])
+    candidates = np.unique(np.concatenate([points - 1.0, points + 1.0]))
+    kinks_plus = np.sort(plus - 1.0)
+    kinks_minus = np.sort(minus + 1.0)
+    prefix_plus = np.concatenate([[0.0], np.cumsum(kinks_plus)])
+    prefix_minus = np.concatenate([[0.0], np.cumsum(kinks_minus)])
+    idx_plus = np.searchsorted(kinks_plus, candidates, side="right")
+    idx_minus = np.searchsorted(kinks_minus, candidates, side="right")
+    rising = candidates * idx_plus - prefix_plus[idx_plus]
+    falling = (prefix_minus[-1] - prefix_minus[idx_minus]) - candidates * (
+        kinks_minus.size - idx_minus
+    )
+    losses = (rising + falling) / points.size
+    best = int(np.argmin(losses))
+    return float(candidates[best]), float(losses[best])
+
+
+class TestHingeScanMatchesOracle:
+    """The merge-based scan gives the per-candidate search's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_classes())
+    def test_tied_data(self, classes):
+        minus, plus = classes
+        got, want = best_bias_hinge(minus, plus), hinge_scan_oracle(minus, plus)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_projections(self, rng):
+        for _ in range(50):
+            minus = rng.normal(size=int(rng.integers(1, 2000)))
+            plus = rng.normal(loc=rng.uniform(-2.0, 2.0), size=int(rng.integers(1, 2000)))
+            got, want = best_bias_hinge(minus, plus), hinge_scan_oracle(minus, plus)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 class TestRescaledPair:
     def test_centers_land_in_unit_interval(self, rng):
         minus = rng.normal(size=8)
@@ -304,3 +346,128 @@ class TestRescaledPair:
             got, want = getattr(default, side), getattr(explicit, side)
             assert got.bandwidth == want.bandwidth
             np.testing.assert_array_equal(got.centers, want.centers)
+
+
+_EPS = np.finfo(np.float64).eps
+# Each pair sum lies within 1e-13 relative of the direct sum, which lies
+# within 1e-13 of the exact sum of its rounded inputs: two evaluations of
+# the same exact sum differ by at most twice both.
+_PAIR_SUM_REL = 4e-13
+
+
+def _sum_rel(a, b, var_sum, shift, var_rel):
+    """Relative change a pair sum over centers a and b can take when every
+    pair distance moves by at most ``shift`` and the summed variance by
+    ``var_rel`` of itself, plus the evaluators' own budget. A term at distance
+    d <= D, D the widest pair distance, moves its exponent d^2 / (2 s^2) by at
+    most (D shift + shift^2 / 2) / s^2 + var_rel D^2 / (2 s^2)."""
+    widest = max(a.max(), b.max()) - min(a.min(), b.min())
+    exponent = (widest * shift + 0.5 * shift * shift + 0.5 * var_rel * widest**2) / var_sum
+    return math.expm1(exponent) + _PAIR_SUM_REL
+
+
+def _pair_sums(pair):
+    """cip, h2x and dcs, as ``sweep`` computes them."""
+    return cip(pair), renyi_cross_entropy(pair), cauchy_schwarz_divergence(pair)
+
+
+def _sum_tolerances(pair, shift, var_rel):
+    """Tolerances for (cip relative, h2x absolute, dcs absolute) when every
+    center of the pair moves by at most shift / 2 and every squared
+    bandwidth by var_rel / 2 of itself; dcs adds the rounding of its two
+    subtractions."""
+    f, g = pair.f_minus, pair.f_plus
+
+    def rel(a, b):
+        return _sum_rel(a.centers, b.centers, a.bandwidth**2 + b.bandwidth**2, shift, var_rel)
+
+    cross = rel(f, g)
+    h2x = -math.log1p(-cross)
+    selfs = [-math.log1p(-rel(d, d)) for d in (f, g)]
+    values = [2.0 * renyi_cross_entropy(pair), *(renyi_entropy(d) for d in (f, g))]
+    dcs = 2.0 * h2x + sum(selfs) + 2.0 * _EPS * sum(abs(v) for v in values)
+    return cross, h2x, dcs
+
+
+def _invariance_pairs():
+    """Silverman bandwidths on 1000 + 1000 points (the binned regime), one
+    fixed bandwidth on 300 + 200 points and sigma 1e-3 on 2000 + 2000 (the
+    direct path), and unequal bandwidths."""
+    rng = np.random.default_rng(20260)
+    minus, plus = rng.normal(size=1000), rng.normal(loc=1.0, scale=0.8, size=1000)
+    yield "silverman", projected_pair(minus, plus)
+    yield "few", projected_pair(minus[:300], plus[:200], 0.2, 0.2)
+    narrow = rng.normal(size=2000), rng.normal(loc=2.0, size=2000)
+    yield "narrow", projected_pair(*narrow, 1e-3, 1e-3)
+    yield "unequal", projected_pair(minus, 3.0 * plus, 0.1, 0.7)
+
+
+_INVARIANCE_PAIRS = dict(_invariance_pairs())
+
+
+class TestPairSumInvariance:
+    """cip, h2x and dcs are invariant under translation, permutation and
+    label swap, and scale with the axis, up to what rounding the moved
+    inputs can change: every tolerance comes from the inputs' rounding and
+    the evaluators' own budget."""
+
+    @pytest.mark.parametrize("offset", [1e3, 1e6, -1e6])
+    @pytest.mark.parametrize("name", sorted(_INVARIANCE_PAIRS))
+    def test_translation(self, name, offset):
+        pair = _INVARIANCE_PAIRS[name]
+        f, g = pair.f_minus, pair.f_plus
+        moved = ProjectedPair(*(Kde1d(d.centers + offset, d.bandwidth) for d in (f, g)))
+        # Both sides round every moved center, and the evaluators round node
+        # positions of that magnitude, each by at most eps / 2 of it.
+        top = max(abs(d.centers).max() for d in (moved.f_minus, moved.f_plus))
+        cross, h2x, dcs = _sum_tolerances(pair, 4.0 * _EPS * top, 0.0)
+        want = _pair_sums(pair)
+        got = _pair_sums(moved)
+        assert got[0] == pytest.approx(want[0], rel=cross, abs=0.0)
+        assert abs(got[1] - want[1]) <= h2x
+        assert abs(got[2] - want[2]) <= dcs
+
+    @pytest.mark.parametrize("scale", [1e6, 1e-6])
+    @pytest.mark.parametrize("name", sorted(_INVARIANCE_PAIRS))
+    def test_scaling(self, name, scale):
+        pair = _INVARIANCE_PAIRS[name]
+        f, g = pair.f_minus, pair.f_plus
+        scaled = ProjectedPair(*(Kde1d(d.centers * scale, d.bandwidth * scale) for d in (f, g)))
+        # Every scaled center and bandwidth rounds by eps / 2 of itself, and
+        # the evaluators' node positions by as much again.
+        top = max(abs(d.centers).max() for d in (f, g))
+        cross, h2x, dcs = _sum_tolerances(pair, 4.0 * _EPS * top, 4.0 * _EPS)
+        potential, entropy, divergence = _pair_sums(pair)
+        got = _pair_sums(scaled)
+        # The potential is a density: it scales as 1 / scale.
+        assert got[0] * scale == pytest.approx(potential, rel=cross + 2.0 * _EPS, abs=0.0)
+        log_scale = math.log(scale)
+        assert abs(got[1] - log_scale - entropy) <= h2x + 2.0 * _EPS * abs(got[1])
+        assert abs(got[2] - divergence) <= dcs
+
+    @pytest.mark.parametrize("name", sorted(_INVARIANCE_PAIRS))
+    def test_permutation(self, name):
+        pair = _INVARIANCE_PAIRS[name]
+        rng = np.random.default_rng(7)
+        f, g = pair.f_minus, pair.f_plus
+        shuffled = ProjectedPair(*(Kde1d(rng.permutation(d.centers), d.bandwidth) for d in (f, g)))
+        cross, h2x, dcs = _sum_tolerances(pair, 0.0, 0.0)
+        want = _pair_sums(pair)
+        got = _pair_sums(shuffled)
+        assert got[0] == pytest.approx(want[0], rel=cross, abs=0.0)
+        assert abs(got[1] - want[1]) <= h2x
+        assert abs(got[2] - want[2]) <= dcs
+
+    @pytest.mark.parametrize("name", sorted(_INVARIANCE_PAIRS))
+    def test_label_swap(self, name):
+        pair = _INVARIANCE_PAIRS[name]
+        swapped = ProjectedPair(pair.f_plus, pair.f_minus)
+        potential, entropy, divergence = _pair_sums(pair)
+        got = _pair_sums(swapped)
+        assert got[0] == potential
+        assert got[1] == entropy
+        # The same three terms, subtracted in the other order: each side
+        # rounds twice, by at most eps / 2 of its partial result.
+        selfs = (renyi_entropy(d) for d in (pair.f_minus, pair.f_plus))
+        terms = 2.0 * abs(entropy) + sum(abs(h) for h in selfs)
+        assert abs(got[2] - divergence) <= 2.0 * _EPS * terms

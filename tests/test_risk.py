@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import clusters
+from conftest import clusters, tied_classes
 from melc import kde, risk
 from melc.datasets import DatasetSpec, generate
 from melc.geometry import LabeledDataset, UnitDirection, project
@@ -319,6 +319,25 @@ class TestEmpiricalBalancedError:
         assert empirical <= eaa_risk(data, X_AXIS) + 0.05
 
 
+def single_threshold_oracle(minus, plus):
+    """``best_single_threshold_error`` by four ``searchsorted`` calls over
+    every candidate: both orientations at every midpoint of the sorted
+    merged scalars and at two sentinels."""
+    minus = np.sort(np.asarray(minus, dtype=np.float64))
+    plus = np.sort(np.asarray(plus, dtype=np.float64))
+    merged = np.sort(np.concatenate([minus, plus]))
+    candidates = np.concatenate(
+        [[merged[0] - 1.0], 0.5 * (merged[:-1] + merged[1:]), [merged[-1] + 1.0]]
+    )
+    minus_above = 1.0 - np.searchsorted(minus, candidates, side="right") / minus.size
+    plus_at_or_below = np.searchsorted(plus, candidates, side="right") / plus.size
+    err_a = 0.5 * (minus_above + plus_at_or_below)
+    minus_below = np.searchsorted(minus, candidates, side="left") / minus.size
+    plus_at_or_above = 1.0 - np.searchsorted(plus, candidates, side="left") / plus.size
+    err_b = 0.5 * (minus_below + plus_at_or_above)
+    return float(min(err_a.min(), err_b.min()))
+
+
 class TestBestSingleThresholdError:
     def test_separated_blocks(self):
         assert best_single_threshold_error([0.0, 1.0], [2.0, 3.0]) == 0.0
@@ -348,6 +367,21 @@ class TestBestSingleThresholdError:
     def test_empty_class_errors(self):
         with pytest.raises(ValueError):
             best_single_threshold_error([], [1.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_classes())
+    # The midpoint rounds onto the upper value, so only the lower sentinel,
+    # which rounds onto the lower one, separates the classes.
+    @example((np.array([2.0**60 + 256.0]), np.array([2.0**60 + 512.0])))
+    def test_matches_oracle_on_tied_data(self, classes):
+        minus, plus = classes
+        assert best_single_threshold_error(minus, plus) == single_threshold_oracle(minus, plus)
+
+    def test_matches_oracle_on_projections(self, rng):
+        for _ in range(50):
+            minus = rng.normal(size=int(rng.integers(1, 2000)))
+            plus = rng.normal(loc=rng.uniform(-2.0, 2.0), size=int(rng.integers(1, 2000)))
+            assert best_single_threshold_error(minus, plus) == single_threshold_oracle(minus, plus)
 
 
 class TestBoundCheck:
@@ -860,9 +894,10 @@ class TestWindowedBisection:
 
 
 class TestSharedPairGrid:
-    """A pair evaluates each density on its pair grid at most once: ``cip``,
-    the default overlap quadrature and the threshold scan read the same
-    binned values, and every result keeps a fresh pair's bits."""
+    """A pair evaluates each density on its pair grid at most once: the
+    default overlap quadrature and the threshold scan read the same binned
+    values, ``cip`` builds no grid density, and every result keeps a fresh
+    pair's bits."""
 
     @staticmethod
     def recording(monkeypatch):
@@ -890,13 +925,15 @@ class TestSharedPairGrid:
 
         forward = fresh()
         assert cip(forward) == potential
-        assert len(computed) == 2  # both densities, on the pair grid
+        assert computed == []  # from Fourier coefficients, no grid density
         assert overlap_integral(forward) == overlap
+        assert len(computed) == 2  # both densities, on the pair grid
         forward_model = build_multithreshold_model(forward, X_AXIS)
         assert len(computed) == 2
 
         reverse = fresh()
         reverse_model = build_multithreshold_model(reverse, X_AXIS)
+        assert len(computed) == 4
         assert overlap_integral(reverse) == overlap
         assert cip(reverse) == potential
         assert len(computed) == 4
@@ -921,11 +958,15 @@ class TestSharedPairGrid:
         computed = self.recording(monkeypatch)
         pair = fresh()
         cip(pair)
-        assert len(computed) == 2
+        assert computed == []
         assert overlap_integral(pair, 2048) == coarse
-        assert [size for _, size in computed[2:]] == [2048, 2048]
+        assert [size for _, size in computed] == [2048, 2048]
         assert overlap_integral(pair, window=window) == fixed
-        assert len(computed) == 6
-        # The overlap on [0, 1] and the potential on the pair grid.
+        assert len(computed) == 4
+        # The overlap on [0, 1]; the potential takes no grid density.
         assert bound_check(rescaled()) == check
-        assert len(computed) == 10
+        assert len(computed) == 6
+        # The pair grid is still the pair's own, evaluated once.
+        overlap_integral(pair)
+        overlap_integral(pair)
+        assert len(computed) == 8

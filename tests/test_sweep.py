@@ -140,21 +140,28 @@ class TestSweep:
         monkeypatch.setenv("MELC_THREADS", "not-a-number")
         assert values(sweep(data, 8)) == first
 
-    def test_four_densities_per_angle(self, rng, monkeypatch):
-        # cip and the overlap share the pair's two densities on its pair
-        # grid; each self-integral evaluates one on its own window.
+    def test_two_densities_and_three_pair_sums_per_angle(self, rng, monkeypatch):
+        # The overlap evaluates the pair's two densities on its pair grid;
+        # cip and both self-integrals come from Fourier coefficients.
         data = gaussian_clouds(rng, (0, 0), (2, 2), 1.0, 1000)
-        computed = []
-        binned = kde._binned_density
+        computed, sums = [], []
+        binned, spectral = kde._binned_density, kde._spectral_pair_integral
 
         def recording(f, grid):
             computed.append((f, grid[0], grid[-1], grid.size))
             return binned(f, grid)
 
+        def recording_sum(f, g, var_sum):
+            sums.append(spectral(f, g, var_sum))
+            return sums[-1]
+
         monkeypatch.setattr(kde, "_binned_density", recording)
+        monkeypatch.setattr(kde, "_spectral_pair_integral", recording_sum)
         sweep(data, 12)
-        assert len(computed) == 4 * 12
+        assert len(computed) == 2 * 12
         assert len({(id(f), *grid) for f, *grid in computed}) == len(computed)
+        assert len(sums) == 3 * 12
+        assert None not in sums
 
     def test_requires_2d(self, rng):
         points = rng.normal(size=(10, 3))
